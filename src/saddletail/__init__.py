@@ -36,6 +36,7 @@ from .errors import (
     LeftDomain,
     NonIntegrable,
     NonMonotoneInput,
+    NotConverged,
     SaddleTailError,
     SeedRequired,
     StepLimitExceeded,
@@ -105,6 +106,7 @@ __all__ = [
     "MixingCoeffs",
     "NonIntegrable",
     "NonMonotoneInput",
+    "NotConverged",
     "Perturbation",
     "PhaseState",
     "RegVarFit",

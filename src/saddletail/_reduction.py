@@ -33,9 +33,10 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebinterpolate, chebval
 from scipy.special import expit
 
-from .errors import BracketFailure, NonIntegrable
+from .errors import BracketFailure, NonIntegrable, NotConverged
 from .params import SaddleParams, derive_constants
 
 __all__ = ["ReductionKernel", "kernel_for"]
@@ -46,6 +47,14 @@ __all__ = ["ReductionKernel", "kernel_for"]
 _W_CUT = 1e-7
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+# The x_max(y) table is a Chebyshev interpolant of ln x_max whose degree
+# starts at _XMAX_DEG and doubles until it matches cold inversion within
+# _XMAX_TOL in ln x (in ln T where T is flatter than x) at 4*deg+1
+# equispaced heights; past _XMAX_MAX_DEG it raises NotConverged.
+_XMAX_DEG = 16
+_XMAX_MAX_DEG = 256
+_XMAX_TOL = 1e-13
 
 
 class ReductionKernel:
@@ -90,6 +99,7 @@ class ReductionKernel:
         self.I_inf = float(
             self.F_head_total + self.cum[-1] + self._R_tail(np.array(self.s_hi))
         )
+        self._xmax_tables: dict[tuple[float, float, float], np.ndarray] = {}
 
     # -- the s-integrand and its analytic ends ---------------------------
 
@@ -312,6 +322,58 @@ class ReductionKernel:
             slope = self._dlnT_dlnxi(lx, ly, lw, lz, D)
             lx = np.clip(lx - r / slope, lo, hi)
         return np.exp(lx)
+
+    # -- the strip boundary x_max(y) -----------------------------------------
+
+    def x_max(self, eta, zeta0, eta_range):
+        """Abscissa whose exit time is exactly 1, at heights eta in eta_range.
+
+        Evaluates a Chebyshev interpolant of ln x_max(y) on eta_range.  The
+        coefficients are built on first use per (zeta0, eta_range) from
+        cold inversions at Chebyshev nodes, and kept only after they match
+        invert(1, y) within _XMAX_TOL at off-node check heights; the degree
+        doubles until they do, and NotConverged is raised past the cap.
+        A table depends only on its key, so concurrent first calls build
+        identical arrays and results do not depend on the caller's thread.
+        """
+        lo, hi = float(eta_range[0]), float(eta_range[1])
+        eta = np.atleast_1d(np.asarray(eta, dtype=float))
+        if np.any(eta < lo) or np.any(eta > hi):
+            raise ValueError("x_max heights must lie in eta_range")
+        key = (float(zeta0), lo, hi)
+        coef = self._xmax_tables.get(key)
+        if coef is None:
+            coef = self._xmax_tables[key] = self._xmax_table(*key)
+        return np.exp(chebval((2.0 * eta - (lo + hi)) / (hi - lo), coef))
+
+    def _xmax_table(self, zeta0, lo, hi):
+        lz = math.log(zeta0)
+
+        def height(t):
+            return 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+
+        def ln_xmax(t):
+            return np.log(self.invert(np.ones_like(t), height(t), zeta0))
+
+        deg, err = _XMAX_DEG, math.inf
+        while deg <= _XMAX_MAX_DEG:
+            coef = chebinterpolate(ln_xmax, deg)
+            t = np.linspace(-1.0, 1.0, 4 * deg + 1)
+            lx = ln_xmax(t)
+            # where T is flat in x, invert itself resolves ln x only to its
+            # exit-time accuracy over |dlnT/dlnx|; measure the misfit in ln T there
+            ly = np.log(height(t))
+            lw = self.omega_log(self.level_log(lx, ly), lz)
+            D = self.F_s(ly - lx) - self.F_s(lw - lz)
+            scale = np.minimum(1.0, np.abs(self._dlnT_dlnxi(lx, ly, lw, lz, D)))
+            err = float(np.max(np.abs(chebval(t, coef) - lx) * scale))
+            if err <= _XMAX_TOL:
+                return coef
+            deg *= 2
+        raise NotConverged(
+            f"x_max interpolant on [{lo}, {hi}] misses invert by {err:.3g} "
+            f"at degree {deg // 2}, tolerance {_XMAX_TOL}"
+        )
 
 
 @lru_cache(maxsize=64)

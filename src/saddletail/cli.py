@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .errors import (
     LeftDomain,
     NonIntegrable,
     NonMonotoneInput,
+    NotConverged,
     SeedRequired,
     StepLimitExceeded,
 )
@@ -54,6 +55,7 @@ _NUMERICAL = (
     NonIntegrable,
     NonMonotoneInput,
     InsufficientData,
+    NotConverged,
 )
 _VALIDATION = (ConfigError, DegenerateDelta, SeedRequired, BetaOutOfRange, ValueError)
 
@@ -97,22 +99,8 @@ def _load(args) -> RunConfig:
         raise _Usage("--config is required for this command")
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = RunConfig(**{**asdict_shallow(cfg), "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     return cfg
-
-
-def asdict_shallow(cfg: RunConfig) -> dict:
-    return {
-        "params": cfg.params,
-        "rect": cfg.rect,
-        "density": cfg.density,
-        "perturbation": cfg.perturbation,
-        "integrator": cfg.integrator,
-        "seed": cfg.seed,
-        "out_path": cfg.out_path,
-        "out_format": cfg.out_format,
-        "sha256": cfg.sha256,
-    }
 
 
 def _out_path(args, cfg: RunConfig) -> str | None:

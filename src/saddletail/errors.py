@@ -34,6 +34,10 @@ class BracketFailure(SaddleTailError):
     """A monotone root bracket could not be established."""
 
 
+class NotConverged(SaddleTailError):
+    """An adaptive approximation reached its size cap short of its tolerance."""
+
+
 class DiagonalNotReached(SaddleTailError):
     """Orbit failed to cross the diagonal x = y within the step budget."""
 

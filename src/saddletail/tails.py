@@ -11,7 +11,10 @@ computes this by quadrature (inner integral exact, outer Gauss panels with
 doubling); monte_carlo_tail estimates the same number by sampling heights
 from w and abscissae from h(., y), then averaging the per-sample strip
 mass over the indicator {T > n}.  The two must agree within Monte Carlo
-error; keeping the estimators independent is the point.
+error; keeping the estimators independent is the point.  The strip edge
+x_max(y) is likewise found two ways: monte_carlo_tail reads it from the
+kernel's validated Chebyshev table (ReductionKernel.x_max), while
+semi_analytic_tail solves it at each quadrature node with invert.
 
 Exceedance masses are turned into an exponent and constant by fit_regvar
 (weighted log-log least squares, optional 1/n second-order column) and
@@ -27,7 +30,7 @@ import numpy as np
 
 from ._reduction import kernel_for
 from .density import EntryDensity
-from .errors import InsufficientData, NonMonotoneInput, SeedRequired
+from .errors import InsufficientData, NonMonotoneInput, NotConverged, SeedRequired
 from .flow import IntegratorConfig, Perturbation, _exit_times_batch
 from .params import SaddleParams, default_section
 
@@ -44,6 +47,7 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK = 65536
 _CHUNK = 240_000
+_MAX_PANELS = 256
 _MC_FLOW_CFG = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10)
 
 
@@ -158,8 +162,11 @@ def semi_analytic_tail(
     """Tail masses by exact inner integration and adaptive outer panels.
 
     The outer quadrature doubles its panel count until every grid value is
-    stable to rtol relative.  The inner integral of the polynomial density
+    stable to rtol relative, and raises NotConverged if that takes more
+    than _MAX_PANELS panels.  The inner integral of the polynomial density
     is exact; the exit-time inversion contributes ~1e-14 relative noise.
+    Each node's x_max(y) is solved directly with invert, independently of
+    the table monte_carlo_tail uses.
     """
     if density is None or n_grid is None:
         raise ValueError("density and n_grid are required")
@@ -192,8 +199,10 @@ def semi_analytic_tail(
             gap = np.abs(vals - prev[0]) <= rtol * np.maximum(np.abs(vals), 1e-300)
             if gap.all() and abs(strip - prev[1]) <= rtol * strip:
                 break
-        if panels >= 256:
-            break
+        if panels >= _MAX_PANELS:
+            raise NotConverged(
+                f"semi-analytic tail not stable to rtol={rtol} at {panels} outer panels"
+            )
         prev = (vals, strip)
         panels *= 2
 
@@ -232,7 +241,7 @@ def _mc_block(args):
     ker = kernel_for(p)
     rng = np.random.default_rng([seed, block_index])
     y = density.sample_heights(rng, count)
-    xmax = ker.invert(np.ones(count), y, zeta0)
+    xmax = ker.x_max(y, zeta0, density.eta_range)
     x = density.sample_abscissae(rng, y, xmax)
     np.maximum(x, 1e-300, out=x)
     w = density.inner_mass(y, xmax)
@@ -269,7 +278,9 @@ def monte_carlo_tail(
     """Monte Carlo tail masses over the entry strip.
 
     Heights are drawn from w and abscissae from h(., y) on [0, x_max(y)],
-    both by inverse CDF; each sample carries its fiber mass
+    both by inverse CDF, with x_max(y) read from the kernel's Chebyshev
+    table (validated against invert when built; semi_analytic_tail solves
+    x_max directly instead).  Each sample carries its fiber mass
     int_0^x_max h(., y), so the average of mass * indicator{T > n} is an
     unbiased estimate of the same integral semi_analytic_tail computes.
     At n = 0 the indicator is identically one and the estimate is the

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from saddletail import __version__, cli
+from saddletail import __version__, cli, tails
 from saddletail.flow import flow
 from saddletail.params import SaddleParams
 
@@ -252,6 +252,12 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     code = run_cli("flow", "--config", str(path), "--x0", "0.1", "--y0", "0.3", "--t", "50.0")
     assert code == 3
     assert "numerical failure: StepLimitExceeded" in capsys.readouterr().err
+
+
+def test_unconverged_semi_tail_exits_3(config_path, monkeypatch, capsys):
+    monkeypatch.setattr(tails, "_MAX_PANELS", 4)
+    assert run_cli("tail", "--config", config_path, "--mode", "semi", "--n-max", "100") == 3
+    assert "numerical failure: NotConverged" in capsys.readouterr().err
 
 
 def test_out_file_leaves_stdout_empty(config_path, tmp_path, capsys):

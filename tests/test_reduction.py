@@ -1,8 +1,12 @@
 """Reduced one-dimensional kernel: levels, exit heights, and inversion."""
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from saddletail._reduction import kernel_for
+from saddletail import _reduction
+from saddletail._reduction import ReductionKernel, kernel_for
+from saddletail.errors import NotConverged
 from saddletail.params import SaddleParams, make_rect
 
 P1 = SaddleParams(1.0, 3.0, 2.0, 1.0, 2)
@@ -66,3 +70,79 @@ def test_exit_time_scalar_vector_consistency():
         assert float(T_i[0]) == pytest.approx(float(T_vec[i]), rel=1e-14)
     assert np.all(np.diff(T_vec) < 0.0)  # deeper entry waits longer
     assert np.all(w_vec > 0.0)
+
+
+def _x_max_misfit(ker, xm, y, zeta0):
+    """|ln x_max - ln invert(1, y)|, counted in ln T where T is flatter than x."""
+    xi = ker.invert(np.ones_like(y), y, zeta0)
+    h = 1e-6
+    slope = np.log(ker.exit_time(xi * np.exp(-h), y, zeta0) / ker.exit_time(xi, y, zeta0)) / h
+    return np.abs(np.log(xm / xi)) * np.minimum(1.0, slope)
+
+
+@pytest.mark.parametrize("p", [P1, P2])
+def test_x_max_table_matches_invert(p):
+    rect = make_rect(p)
+    ker = kernel_for(p)
+    y = np.concatenate(
+        ([rect.eta0, rect.eta1], np.random.default_rng(0).uniform(rect.eta0, rect.eta1, 500))
+    )
+    xm = ker.x_max(y, rect.zeta0, (rect.eta0, rect.eta1))
+    xi = ker.invert(np.ones_like(y), y, rect.zeta0)
+    assert np.max(np.abs(xm / xi - 1.0)) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kappa=st.sampled_from([2, 4, 6]),
+    logs=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+@example(kappa=2, logs=[-1.97, 1.9, -0.62, -0.63], sign=1.0)  # T nearly flat in x
+@example(kappa=6, logs=[-0.84, -1.8, -0.36, 1.37], sign=-1.0)  # x_max near zeta0
+def test_x_max_table_across_parameters(kappa, logs, sign):
+    a0, a2, b0, b2 = (10.0**e for e in logs)
+    if np.sign(a2 * b0 - a0 * b2) != sign:  # swapping the pairs flips delta
+        a0, a2, b0, b2 = b0, b2, a0, a2
+    assume(abs(a2 * b0 - a0 * b2) > 1e-3 * (a2 * b0 + a0 * b2))
+    p = SaddleParams(a0, a2, b0, b2, kappa)
+    rect = make_rect(p)
+    ker = ReductionKernel(p)
+    y = np.linspace(rect.eta0, rect.eta1, 97)
+    try:
+        xm = ker.x_max(y, rect.zeta0, (rect.eta0, rect.eta1))
+    except NotConverged:
+        # the table is refused only where direct inversion itself misses T = 1
+        xi = ker.invert(np.ones_like(y), y, rect.zeta0)
+        assert np.max(np.abs(ker.exit_time(xi, y, rect.zeta0) - 1.0)) > 1e-6
+        return
+    assert np.max(_x_max_misfit(ker, xm, y, rect.zeta0)) <= 1e-13
+
+
+def test_x_max_table_cached_per_key(monkeypatch):
+    rect = make_rect(P2)
+    ker = ReductionKernel(P2)
+    calls = []
+    invert = ker.invert
+    monkeypatch.setattr(ker, "invert", lambda *a, **k: calls.append(1) or invert(*a, **k))
+    y = np.array([rect.eta0, rect.eta1])
+    first = ker.x_max(y, rect.zeta0, (rect.eta0, rect.eta1))
+    built = len(calls)
+    assert built > 0
+    again = ker.x_max(y[::-1], rect.zeta0, (rect.eta0, rect.eta1))
+    assert len(calls) == built and np.array_equal(again, first[::-1])
+    ker.x_max(y[:1], rect.zeta0, (rect.eta0, 0.5 * (rect.eta0 + rect.eta1)))
+    assert len(calls) > built
+    assert len(ker._xmax_tables) == 2
+    with pytest.raises(ValueError):
+        ker.x_max(np.array([0.5 * rect.eta0]), rect.zeta0, (rect.eta0, rect.eta1))
+
+
+def test_x_max_table_not_converged(monkeypatch):
+    rect = make_rect(P2)
+    ker = ReductionKernel(P2)
+    monkeypatch.setattr(_reduction, "_XMAX_TOL", -1.0)  # no table can meet it
+    monkeypatch.setattr(_reduction, "_XMAX_MAX_DEG", 32)
+    with pytest.raises(NotConverged):
+        ker.x_max(np.array([rect.eta0]), rect.zeta0, (rect.eta0, rect.eta1))
+    assert ker._xmax_tables == {}

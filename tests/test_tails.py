@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
+from saddletail import _reduction, tails
 from saddletail.asymptotics import tail_coeffs, tail_expansion
 from saddletail.density import uniform_density
-from saddletail.errors import InsufficientData, NonMonotoneInput, SeedRequired
+from saddletail.errors import InsufficientData, NonMonotoneInput, NotConverged, SeedRequired
 from saddletail.params import SaddleParams, make_rect
 from saddletail.tails import (
     TailTable,
@@ -64,6 +65,20 @@ def test_semi_tail_probe_path_consistent_with_direct():
     t_small = semi_analytic_tail(P2, None, DENS, small, zeta0=RECT.zeta0)
     ref = t_big.mass[np.searchsorted(big, small)]
     assert np.allclose(ref, t_small.mass, rtol=1e-8, atol=0.0)
+
+
+def test_semi_tail_ladder_cap_raises(monkeypatch):
+    monkeypatch.setattr(tails, "_MAX_PANELS", 8)
+    with pytest.raises(NotConverged):
+        semi_analytic_tail(P2, None, DENS, np.array([1, 10]), zeta0=RECT.zeta0, rtol=1e-300)
+
+
+def test_monte_carlo_table_cap_raises(monkeypatch):
+    monkeypatch.setattr(_reduction, "_XMAX_TOL", -1.0)
+    monkeypatch.setattr(_reduction, "_XMAX_MAX_DEG", 32)
+    monkeypatch.setattr(tails, "kernel_for", _reduction.ReductionKernel)  # no cached table
+    with pytest.raises(NotConverged):
+        monte_carlo_tail(P2, None, DENS, N=1000, seed=1, n_grid=np.array([1, 2]), zeta0=RECT.zeta0)
 
 
 def test_monte_carlo_requires_seed():
