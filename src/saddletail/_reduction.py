@@ -36,6 +36,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebinterpolate, chebval
 from scipy.special import expit
 
+from ._numerics import GL_NODES, GL_WEIGHTS, gl_panels, solve_increasing
 from .errors import BracketFailure, NonIntegrable, NotConverged
 from .params import SaddleParams, derive_constants
 
@@ -45,8 +46,6 @@ __all__ = ["ReductionKernel", "kernel_for"]
 # c0 + c2*M^kappa falls below 1e-7 of the dominant one.  With the two-term
 # analytic series beyond the window the truncation error is ~1e-14 relative.
 _W_CUT = 1e-7
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # The x_max(y) table is a Chebyshev interpolant of ln x_max whose degree
 # starts at _XMAX_DEG and doubles until it matches cold inversion within
@@ -87,13 +86,10 @@ class ReductionKernel:
         n_panels = int(
             math.ceil((self.s_hi - self.s_lo) / (1.5 * panel_scale / self.k))
         )
-        edges = np.linspace(self.s_lo, self.s_hi, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        nodes = mid[None, :] + half * _GL_NODES[:, None]
-        panel = self.phi_s(nodes).T @ _GL_WEIGHTS * half
-        self.edges = edges
-        self.ds = edges[1] - edges[0]
+        nodes, wts = gl_panels(self.s_lo, self.s_hi, n_panels)
+        panel = (self.phi_s(nodes) * wts).reshape(n_panels, -1).sum(axis=1)
+        self.edges = np.linspace(self.s_lo, self.s_hi, n_panels + 1)
+        self.ds = self.edges[1] - self.edges[0]
         self.cum = np.concatenate(([0.0], np.cumsum(panel)))
         self.F_head_total = float(self._F_head(np.array(self.s_lo)))
         self.I_inf = float(
@@ -146,8 +142,8 @@ class ReductionKernel:
             )
             a = self.edges[j]
             half = 0.5 * (sm - a)
-            nodes = a[None, :] + half[None, :] * (_GL_NODES[:, None] + 1.0)
-            part = (self.phi_s(nodes) * _GL_WEIGHTS[:, None]).sum(axis=0) * half
+            nodes = a[None, :] + half[None, :] * (GL_NODES[:, None] + 1.0)
+            part = (self.phi_s(nodes) * GL_WEIGHTS[:, None]).sum(axis=0) * half
             out[mid] = self.F_head_total + self.cum[j] + part
         return out
 
@@ -165,9 +161,9 @@ class ReductionKernel:
         """Solve level_log(lz, rho) = target for rho = ln(omega).
 
         The level is strictly monotone in rho (direction given by the sign
-        of v) and convex, so the root is trapped between the two asymptote
-        roots; bisection narrows the trap and clipped Newton, quadratic on
-        this smooth profile, finishes the job.
+        of v) and convex, and it lies above both of its asymptotes.  So the
+        root lies on one side of both asymptote roots, and safeguarded
+        Newton started from the nearer one converges monotonically.
         """
         target = np.atleast_1d(np.asarray(target, dtype=float))
         lc0z = self.ln_c0 + self.k * lz
@@ -179,30 +175,14 @@ class ReductionKernel:
         hi = np.maximum(r1, r2) + pad
         sgn = 1.0 if self.v > 0 else -1.0
 
-        def psi(rho):
-            return sgn * (
-                self.u * lz
-                + self.v * rho
-                + np.logaddexp(lc0z, self.ln_c2 + self.k * rho)
-                - target
-            )
+        def psi(rho, i):
+            arg = self.ln_c2 + self.k * rho
+            val = self.u * lz + self.v * rho + np.logaddexp(lc0z, arg) - target[i]
+            return sgn * val, sgn * (self.v + self.k * expit(arg - lc0z))
 
-        for _ in range(12):
-            mid = 0.5 * (lo + hi)
-            pos = psi(mid) >= 0.0
-            hi = np.where(pos, mid, hi)
-            lo = np.where(pos, lo, mid)
-        rho = 0.5 * (lo + hi)
-        for _ in range(6):
-            val = psi(rho)
-            pos = val >= 0.0
-            hi = np.where(pos, rho, hi)
-            lo = np.where(pos, lo, rho)
-            slope = sgn * (
-                self.v + self.k * expit(self.ln_c2 + self.k * rho - lc0z)
-            )
-            rho = np.clip(rho - val / slope, lo, hi)
-        return rho
+        start = np.minimum(r1, r2) if sgn > 0 else np.maximum(r1, r2)
+        tol = 1e-13 * (1.0 + np.abs(lo) + np.abs(hi))
+        return solve_increasing(psi, lo, hi, start, tol=tol)
 
     # -- exit time and its inverse ----------------------------------------
 
@@ -224,18 +204,20 @@ class ReductionKernel:
             return T, np.where(xi == zeta0, eta, np.exp(lw))
         return T
 
-    def _time_from_logs(self, lx, ly, lw, lz):
-        D = self.F_s(ly - lx) - self.F_s(lw - lz)
-        ln_g = (
+    def _ln_g(self, lx, ly):
+        return (
             lx / self.beta2
             + ly / self.beta0
             + (1.0 - self.theta)
             * np.logaddexp(self.ln_c0 + self.k * lx, self.ln_c2 + self.k * ly)
         )
-        return D * np.exp(-ln_g)
+
+    def _time_from_logs(self, lx, ly, lw, lz):
+        D = self.F_s(ly - lx) - self.F_s(lw - lz)
+        return D * np.exp(-self._ln_g(lx, ly))
 
     def _dlnT_dlnxi(self, lx, ly, lw, lz, D):
-        """Analytic derivative used by the Newton stage of invert()."""
+        """Analytic derivative used as the Newton slope of invert()."""
         wx = expit(self.ln_c0 + self.k * lx - self.ln_c2 - self.k * ly)
         ww = expit(self.ln_c2 + self.k * lw - self.ln_c0 - self.k * lz)
         A = self.u + self.k * wx
@@ -247,12 +229,13 @@ class ReductionKernel:
     def invert(self, T, eta, zeta0, lnx0=None):
         """Starting abscissa xi on height eta whose exit time equals T.
 
-        Bracketed bisection sharpened by Newton with the analytic
-        log-derivative; the lower bracket end is pushed down geometrically
-        until it encloses very large targets.  A caller that already knows
-        the answer to a few percent can pass ln(xi) guesses as lnx0; the
-        bracket then collapses to a window around the guess and most of the
-        bisection stage is skipped.
+        Safeguarded Newton in ln(xi) on ln T with the analytic
+        log-derivative, inside a bracket whose upper end sits just inside
+        the section and whose lower end is pushed down geometrically until
+        it encloses very large targets.  lnx0, if given, is the starting
+        point in ln(xi): a caller that already knows the answer to a few
+        percent saves most of the iterations.  The bracket and the
+        tolerance are the same either way.
         """
         T = np.atleast_1d(np.asarray(T, dtype=float))
         eta = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -263,65 +246,31 @@ class ReductionKernel:
         lz = math.log(zeta0)
         ln_target = np.log(T)
 
-        def resid(lx):
-            lw = self.omega_log(self.level_log(lx, ly), lz)
-            D = self.F_s(ly - lx) - self.F_s(lw - lz)
-            ln_g = (
-                lx / self.beta2
-                + ly / self.beta0
-                + (1.0 - self.theta)
-                * np.logaddexp(self.ln_c0 + self.k * lx, self.ln_c2 + self.k * ly)
+        def excess(lx, i):
+            # ln target - ln T(lx): increasing, since T falls as xi grows
+            lw = self.omega_log(self.level_log(lx, ly[i]), lz)
+            D = self.F_s(ly[i] - lx) - self.F_s(lw - lz)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val = ln_target[i] - np.log(D) + self._ln_g(lx, ly[i])
+            return val, -self._dlnT_dlnxi(lx, ly[i], lw, lz, D)
+
+        every = np.arange(ln_target.size)
+        hi = np.full(ln_target.shape, lz + math.log1p(-1e-12))
+        if np.any(excess(hi, every)[0] < 0.0):
+            raise BracketFailure(
+                "target exit time smaller than the time from just inside the section"
             )
-            with np.errstate(divide="ignore"):
-                return np.log(D) - ln_g - ln_target, lw, D
-
-        hi = np.full_like(ln_target, lz + math.log1p(-1e-12))
-        depth = 27.7  # ln(1e12): bracket starts at xi = 1e-12 * zeta0
-        if lnx0 is not None:
-            guess = np.broadcast_to(np.asarray(lnx0, dtype=float), ln_target.shape)
-            lo = guess - 0.05
-            hiw = np.minimum(guess + 0.05, hi)
-            r_lo, _, _ = resid(lo)
-            r_hiw, _, _ = resid(hiw)
-            # residual decreases in lnxi, so a valid window has r_lo >= 0 >= r_hiw;
-            # elements whose window missed fall back to the cold bracket
-            lo = np.where(r_lo < 0.0, hi - depth, lo)
-            hi = np.where(r_hiw > 0.0, hi, hiw)
-            n_bisect = 2
+        lo = hi - 27.7  # ln(1e12): bracket starts at xi = 1e-12 * zeta0
+        short = every
+        for _ in range(13):
+            short = short[excess(lo[short], short)[0] > 0.0]
+            if short.size == 0:
+                break
+            lo[short] = hi[short] - 2.0 * (hi[short] - lo[short])
         else:
-            r_hi, _, _ = resid(hi)
-            if np.any(r_hi > 0.0):
-                raise BracketFailure(
-                    "target exit time smaller than the time from just inside the section"
-                )
-            lo = hi - depth
-            r_lo, _, _ = resid(lo)
-            for _ in range(12):
-                short = r_lo < 0.0
-                if not short.any():
-                    break
-                lo = np.where(short, hi - 2.0 * (hi - lo), lo)
-                r_lo, _, _ = resid(lo)
-            else:
-                if (r_lo < 0.0).any():
-                    raise BracketFailure("could not bracket the exit-time inverse")
-            n_bisect = 13
-
-        for _ in range(n_bisect):
-            mid = 0.5 * (lo + hi)
-            r, _, _ = resid(mid)
-            high_side = r <= 0.0  # T(mid) <= target -> root is left of mid
-            hi = np.where(high_side, mid, hi)
-            lo = np.where(high_side, lo, mid)
-        lx = 0.5 * (lo + hi)
-        for _ in range(6):
-            r, lw, D = resid(lx)
-            high_side = r <= 0.0
-            hi = np.where(high_side, lx, hi)
-            lo = np.where(high_side, lo, lx)
-            slope = self._dlnT_dlnxi(lx, ly, lw, lz, D)
-            lx = np.clip(lx - r / slope, lo, hi)
-        return np.exp(lx)
+            raise BracketFailure("could not bracket the exit-time inverse")
+        tol = 1e-13 * (1.0 + np.abs(hi))
+        return np.exp(solve_increasing(excess, lo, hi, lnx0, tol=tol))
 
     # -- the strip boundary x_max(y) -----------------------------------------
 

@@ -7,10 +7,10 @@ one is just the scalar case.
 
 Event detection assumes the event function increases through zero along
 the orbit (true for both uses in this package: section crossings x = zeta0
-and diagonal crossings).  Crossings are first localised on the cubic
-Hermite interpolant of the accepted step, then sharpened with Newton
-corrections that re-integrate the partial step, so the reported crossing
-time is accurate to the integrator tolerance rather than the interpolant's.
+and diagonal crossings).  A crossing inside an accepted step is located by
+the package's safeguarded Newton solver on the event function of the
+re-integrated partial step, so the reported crossing time is accurate to
+the integrator tolerance rather than to an interpolant's.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._numerics import solve_increasing
 from .errors import LeftDomain, StepLimitExceeded
 
 __all__ = ["Event", "IntegrationResult", "integrate"]
@@ -99,37 +100,20 @@ def _initial_step(f, z, fz, rtol, atol, max_step):
     return np.minimum(np.minimum(100 * h0, h1), max_step)
 
 
-def _hermite(z_a, f_a, z_b, f_b, h, sig):
-    """Cubic Hermite interpolant of the step, sig in [0, 1]."""
-    s = sig[:, None]
-    hc = h[:, None]
-    s2, s3 = s * s, s * s * s
-    return (
-        (2 * s3 - 3 * s2 + 1) * z_a
-        + (s3 - 2 * s2 + s) * hc * f_a
-        + (-2 * s3 + 3 * s2) * z_b
-        + (s3 - s2) * hc * f_b
-    )
+def _polish_crossing(f, event, z_a, f_a, z_b, h):
+    """Locate sig in [0, 1] with g(orbit(sig*h)) = 0 to integrator accuracy.
 
+    The orbit at sig*h is the partial RK step from z_a, so the root is the
+    crossing of the integrated solution rather than of an interpolant.
+    Newton starts from the linear estimate between g(z_a) < 0 <= g(z_b).
+    """
+    g_a, g_b = event.g(z_a), event.g(z_b)
 
-def _polish_crossing(f, event, z_a, f_a, z_b, f_b, h):
-    """Locate sig in [0, 1] with g(orbit(sig*h)) = 0 to integrator accuracy."""
-    lo = np.zeros(len(h))
-    hi = np.ones(len(h))
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        gm = event.g(_hermite(z_a, f_a, z_b, f_b, h, mid))
-        up = gm >= 0.0
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
-    sig = 0.5 * (lo + hi)
-    z_s, f_s = z_b, f_b
-    for _ in range(3):
-        z_s, _, f_s = _rk_step(f, z_a, f_a, sig * h)
-        r = event.g(z_s)
-        rd = event.gdot(z_s, f_s) * h
-        step = np.where(np.abs(rd) > 1e-300, r / np.where(rd != 0, rd, 1.0), 0.0)
-        sig = np.clip(sig - step, 0.0, 1.0)
+    def g_at(sig, i):
+        z_s, _, f_s = _rk_step(f, z_a[i], f_a[i], sig * h[i])
+        return event.g(z_s), event.gdot(z_s, f_s) * h[i]
+
+    sig = solve_increasing(g_at, np.zeros(len(h)), 1.0, g_a / (g_a - g_b), tol=1e-12)
     z_s, _, _ = _rk_step(f, z_a, f_a, sig * h)
     return sig, z_s
 
@@ -239,8 +223,7 @@ def integrate(
                 sig, z_c = _polish_crossing(
                     f, event,
                     za_acc[crossed], fa_acc[crossed],
-                    zn_acc[crossed], fn_acc[crossed],
-                    ha_acc[crossed],
+                    zn_acc[crossed], ha_acc[crossed],
                 )
                 t_ev[ci] = ta[acc][crossed] + sig * ha_acc[crossed]
                 z_ev[ci] = z_c

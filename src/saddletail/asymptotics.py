@@ -29,8 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import gl_panels
 from ._reduction import kernel_for
 from .density import EntryDensity
+from .errors import NotConverged
 from .params import SaddleParams, derive_constants
 
 __all__ = [
@@ -46,7 +48,8 @@ __all__ = [
     "delta_of_T",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# panel doublings (from 8 panels) before _gl_integral gives up
+_GL_DOUBLINGS = 12
 
 
 def _swap(p: SaddleParams) -> SaddleParams:
@@ -180,21 +183,22 @@ class TailCoeffs:
 
 
 def _gl_integral(f, lo: float, hi: float, rtol: float = 1e-9) -> float:
-    """Composite Gauss-Legendre with panel doubling until stable."""
+    """Composite Gauss-Legendre with panel doubling until stable to rtol.
+
+    Raises NotConverged if the value still moves after _GL_DOUBLINGS
+    doublings.
+    """
     prev = None
-    n = 8
-    for _ in range(12):
-        edges = np.linspace(lo, hi, n + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        nodes = mid[None, :] + half * _GL_NODES[:, None]
-        val = float((f(nodes) * _GL_WEIGHTS[:, None]).sum() * half)
+    for doubling in range(_GL_DOUBLINGS):
+        nodes, wts = gl_panels(lo, hi, 8 << doubling)
+        val = float(f(nodes) @ wts)
         if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
             return val
         prev = val
-        n *= 2
-    warnings.warn("tail-coefficient quadrature did not stabilise", RuntimeWarning)
-    return val
+    raise NotConverged(
+        f"tail-coefficient quadrature not stable to rtol={rtol} "
+        f"at {8 << (_GL_DOUBLINGS - 1)} panels"
+    )
 
 
 def tail_coeffs(

@@ -354,12 +354,8 @@ def cmd_renewal(args) -> int:
 
 
 _DEFAULT_VERIFY_CONFIG = {
-    "a0": 1.0,
-    "a2": 1.0,
-    "b0": 1.0,
-    "b2": 2.0,
-    "kappa": 2,
-    "seed": 20260817,
+    **asdict(verify_mod.P2),
+    "seed": verify_mod.DEFAULT_SEED,
 }
 
 

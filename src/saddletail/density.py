@@ -9,7 +9,9 @@ tail expansion, so that is what an EntryDensity stores.
 
 All polynomials are plain ascending coefficient arrays evaluated with
 numpy's polynomial helpers; the weight is normalised to unit mass on the
-entry range at construction.
+entry range at construction.  Sampling inverts the polynomial CDFs with the
+package's safeguarded Newton solver (_numerics.solve_increasing): each draw
+is converged to 1e-15 relative and depends only on its own uniform.
 """
 from __future__ import annotations
 
@@ -17,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+
+from ._numerics import solve_increasing
 
 __all__ = ["EntryDensity", "uniform_density"]
 
@@ -85,10 +89,10 @@ class EntryDensity:
         base = npoly.polyval(lo, cdf)
         targets = rng.random(n)
 
-        def val(y):
-            return npoly.polyval(y, cdf) - base - targets
+        def excess(y, i):
+            return npoly.polyval(y, cdf) - base - targets[i], self.w(y)
 
-        return _invert_monotone(val, lambda y: self.w(y), lo, hi, n)
+        return solve_increasing(excess, np.full(n, lo), hi, tol=1e-15 * hi)
 
     def sample_abscissae(
         self, rng: np.random.Generator, y: np.ndarray, x_max: np.ndarray
@@ -97,31 +101,10 @@ class EntryDensity:
         total = self.inner_mass(y, x_max)
         targets = rng.random(len(y)) * total
 
-        def val(x):
-            return self.inner_mass(y, x) - targets
+        def excess(x, i):
+            return self.inner_mass(y[i], x) - targets[i], self.h(x, y[i])
 
-        return _invert_monotone(val, lambda x: self.h(x, y), np.zeros_like(x_max), x_max, len(y))
-
-
-def _invert_monotone(val, deriv, lo, hi, n: int) -> np.ndarray:
-    """Vectorised bisection plus guarded Newton for increasing val()."""
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,)).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,)).copy()
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        pos = val(mid) >= 0.0
-        hi = np.where(pos, mid, hi)
-        lo = np.where(pos, lo, mid)
-    x = 0.5 * (lo + hi)
-    for _ in range(4):
-        r = val(x)
-        pos = r >= 0.0
-        hi = np.where(pos, x, hi)
-        lo = np.where(pos, lo, x)
-        d = deriv(x)
-        step = np.where(d > 0.0, r / np.where(d > 0.0, d, 1.0), 0.0)
-        x = np.clip(x - step, lo, hi)
-    return x
+        return solve_increasing(excess, 0.0, x_max, tol=1e-15 * x_max)
 
 
 def make_density(

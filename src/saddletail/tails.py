@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import gl_panels
 from ._reduction import kernel_for
 from .density import EntryDensity
 from .errors import InsufficientData, NonMonotoneInput, NotConverged, SeedRequired
@@ -44,7 +45,6 @@ __all__ = [
     "small_tail",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BLOCK = 65536
 _CHUNK = 240_000
 _MAX_PANELS = 256
@@ -110,15 +110,6 @@ def geometric_grid(n_min: int = 1, n_max: int = 100_000, per_decade: int = 32):
         np.rint(np.geomspace(n_min, n_max, count)).astype(np.int64)
     )
     return vals
-
-
-def _panel_nodes(lo: float, hi: float, panels: int):
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[None, :] + half * _GL_NODES[:, None]).ravel(order="F")
-    wts = np.tile(_GL_WEIGHTS * half, panels)
-    return nodes, wts
 
 
 def _tail_on_nodes(ker, density, zeta0, n_pos, nodes, wts, guess=None, keep=False):
@@ -191,7 +182,7 @@ def semi_analytic_tail(
     panels = 4
     prev = None
     while True:
-        nodes, wts = _panel_nodes(lo, hi, panels)
+        nodes, wts = gl_panels(lo, hi, panels)
         vals, strip, lnxi = _tail_on_nodes(
             ker, density, zeta0, probe, nodes, wts, keep=True
         )

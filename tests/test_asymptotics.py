@@ -4,6 +4,7 @@ import pytest
 from scipy.special import beta as beta_fn
 
 from saddletail.asymptotics import (
+    _gl_integral,
     coeffs,
     delta_of_T,
     invert_exit_time,
@@ -14,6 +15,7 @@ from saddletail.asymptotics import (
     xi_expansion,
 )
 from saddletail.density import uniform_density
+from saddletail.errors import NotConverged
 from saddletail.flow import IntegratorConfig, exit_time_quadrature, flow, omega_of_xi
 from saddletail.params import SaddleParams, derive_constants, make_rect
 
@@ -173,3 +175,10 @@ def test_tail_expansion_matches_hand_sum():
     n = np.geomspace(10.0, 1e5, 7)
     hand = tc.H[0] * n**-0.75 - tc.Hhat[0] * n**-1.75
     assert np.allclose(tail_expansion(tc, n), hand, rtol=1e-14, atol=0.0)
+
+
+def test_gl_integral_raises_when_doubling_does_not_settle():
+    # an integrable singularity off the panel grid converges like panels^-1/2
+    assert _gl_integral(lambda y: y**3, 0.0, 2.0) == pytest.approx(4.0, rel=1e-14)
+    with pytest.raises(NotConverged, match="16384 panels"):
+        _gl_integral(lambda y: np.abs(y - 1.0 / 3.0) ** -0.5, 0.0, 1.0)

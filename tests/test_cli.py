@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, report shapes, determinism."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +127,24 @@ def test_exit_time_inverse_gap(config_path, capsys):
     _, header, rows = csv_body(capsys.readouterr().out)
     assert header == "T,eta,xi_exact,xi_expansion,relative_gap"
     assert float(rows[0][4]) <= 1e-3
+
+
+def test_exit_time_inverse_near_section(tmp_path, capsys):
+    # here xi(T = 1) lies within 1e-6 of zeta0, where T is steep in xi
+    path = tmp_path / "near.json"
+    doc = {"a0": 0.1438, "a2": 0.01593, "b0": 0.4408, "b2": 23.19, "kappa": 6}
+    path.write_text(json.dumps(doc))
+    assert run_cli("exit-time", "--config", str(path), "--T", "1") == 0
+    _, _, rows = csv_body(capsys.readouterr().out)
+    xi = rows[0][2]
+    assert run_cli("exit-time", "--config", str(path), "--xi", xi) == 0
+    _, _, rows = csv_body(capsys.readouterr().out)
+    assert abs(float(rows[0][2]) - 1.0) <= 1e-10
+
+
+def test_builtin_verify_config_matches_default_file():
+    path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+    assert json.loads(path.read_text()) == cli._DEFAULT_VERIFY_CONFIG
 
 
 def test_exit_time_sweep_monotone(config_path, capsys):

@@ -31,7 +31,7 @@ def test_invert_warm_start_matches_cold(p):
     T = np.geomspace(5.0, 1e5, 60)
     eta = np.full_like(T, rect.eta0)
     cold = ker.invert(T, eta, rect.zeta0)
-    # a warm start within the +-0.05 log window must land on the same root
+    # a warm start near the root must land on the same root
     warm = ker.invert(T, eta, rect.zeta0, lnx0=np.log(cold) + 0.03)
     assert np.max(np.abs(warm / cold - 1.0)) <= 1e-12
 
@@ -70,6 +70,33 @@ def test_exit_time_scalar_vector_consistency():
         assert float(T_i[0]) == pytest.approx(float(T_vec[i]), rel=1e-14)
     assert np.all(np.diff(T_vec) < 0.0)  # deeper entry waits longer
     assert np.all(w_vec > 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kappa=st.sampled_from([2, 4, 6]),
+    logs=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+# x_max within 1e-6 of zeta0: the old fixed-count inversion returned T = 1.27e-3
+@example(kappa=6, logs=[np.log10(v) for v in (0.1438, 0.01593, 0.4408, 23.19)], sign=-1.0)
+def test_invert_and_exit_height_across_parameters(kappa, logs, sign):
+    a0, a2, b0, b2 = (10.0**e for e in logs)
+    if np.sign(a2 * b0 - a0 * b2) != sign:  # swapping the pairs flips delta
+        a0, a2, b0, b2 = b0, b2, a0, a2
+    assume(abs(a2 * b0 - a0 * b2) > 1e-3 * (a2 * b0 + a0 * b2))
+    p = SaddleParams(a0, a2, b0, b2, kappa)
+    rect = make_rect(p)
+    ker = ReductionKernel(p)
+    y = np.linspace(rect.eta0, rect.eta1, 33)
+    xi = ker.invert(np.ones_like(y), y, rect.zeta0)
+    # worst seen over 600 random sets: 4.6e-12
+    assert np.max(np.abs(ker.exit_time(xi, y, rect.zeta0) - 1.0)) <= 1e-10
+    lz = np.log(rect.zeta0)
+    lx = lz + np.linspace(-8.0, -1e-6, 33)
+    lev = ker.level_log(lx, np.log(y))
+    lev_exit = ker.level_log(np.full_like(lx, lz), ker.omega_log(lev, lz))
+    assert np.max(np.abs(lev_exit - lev) / (1.0 + np.abs(lev))) <= 1e-14
 
 
 def _x_max_misfit(ker, xm, y, zeta0):
