@@ -55,6 +55,9 @@ _XMAX_DEG = 16
 _XMAX_MAX_DEG = 256
 _XMAX_TOL = 1e-13
 
+# invert refuses roots whose abscissa exp(ln x) is not a normal double
+_LN_TINY = math.log(np.finfo(float).tiny)
+
 
 class ReductionKernel:
     """Per-parameter-set machinery for exit times and their inverses.
@@ -235,7 +238,9 @@ class ReductionKernel:
         it encloses very large targets.  lnx0, if given, is the starting
         point in ln(xi): a caller that already knows the answer to a few
         percent saves most of the iterations.  The bracket and the
-        tolerance are the same either way.
+        tolerance are the same either way.  Raises BracketFailure when a
+        root lies below the smallest normal double, where exp(ln xi) would
+        lose its digits or underflow to 0.
         """
         T = np.atleast_1d(np.asarray(T, dtype=float))
         eta = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -270,7 +275,13 @@ class ReductionKernel:
         else:
             raise BracketFailure("could not bracket the exit-time inverse")
         tol = 1e-13 * (1.0 + np.abs(hi))
-        return np.exp(solve_increasing(excess, lo, hi, lnx0, tol=tol))
+        lx = solve_increasing(excess, lo, hi, lnx0, tol=tol)
+        if np.any(lx < _LN_TINY):
+            raise BracketFailure(
+                f"exit-time inverse at ln(xi) = {lx.min():.6g} lies below the "
+                f"smallest normal double (ln = {_LN_TINY:.6g})"
+            )
+        return np.exp(lx)
 
     # -- the strip boundary x_max(y) -----------------------------------------
 

@@ -24,7 +24,6 @@ C0 = H_1 is the constant that feeds the renewal-mixing predictions.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +98,7 @@ def coeffs(
     the section to the entry height, so the bracket is invariant.)  omega0
     is additionally recomputed from xi0 through the reversal identity;
     disagreement beyond 1e-8 relative signals a broken quadrature and
-    raises a warning rather than passing silently.
+    raises NotConverged.
     """
     if eta is None or zeta0 is None:
         raise ValueError("eta and zeta0 are required")
@@ -123,10 +122,9 @@ def coeffs(
         * (d.c2 / d.c0) ** (1.0 / d.v)
     )
     if not math.isclose(alt, omega0, rel_tol=1e-8):
-        warnings.warn(
-            f"reversal identity for omega0 violated: {omega0} vs {alt}",
-            RuntimeWarning,
-            stacklevel=2,
+        raise NotConverged(
+            f"reversal identity for omega0 violated: {omega0} from the omega "
+            f"integral vs {alt} from xi0"
         )
     return AsymptoticCoeffs(
         eta=float(eta),

@@ -48,6 +48,8 @@ __all__ = [
 _BLOCK = 65536
 _CHUNK = 240_000
 _MAX_PANELS = 256
+# largest relative drop the monotone repair of semi_analytic_tail may make
+_MAX_REPAIR = 1e-12
 _MC_FLOW_CFG = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10)
 
 
@@ -157,7 +159,10 @@ def semi_analytic_tail(
     than _MAX_PANELS panels.  The inner integral of the polynomial density
     is exact; the exit-time inversion contributes ~1e-14 relative noise.
     Each node's x_max(y) is solved directly with invert, independently of
-    the table monte_carlo_tail uses.
+    the table monte_carlo_tail uses.  The inversion noise may break
+    monotonicity in the last ulp, which is repaired; NonMonotoneInput is
+    raised if the repair would lower a mass by more than _MAX_REPAIR
+    relative.
     """
     if density is None or n_grid is None:
         raise ValueError("density and n_grid are required")
@@ -210,9 +215,18 @@ def semi_analytic_tail(
     mass = np.empty(len(n))
     mass[n >= 1] = vals
     mass[n == 0] = strip
-    # exit-time inversion jitter can break monotonicity in the last ulp
-    mass = np.minimum.accumulate(mass)
-    return TailTable(n_grid=n, mass=mass)
+    # exit-time inversion jitter can break monotonicity in the last ulp;
+    # a larger repair would hide a defect, so it is refused
+    repaired = np.minimum.accumulate(mass)
+    over = np.flatnonzero(mass - repaired > _MAX_REPAIR * mass)
+    if over.size:
+        j = over[0]
+        raise NonMonotoneInput(
+            f"semi-analytic tail rises to {mass[j]!r} at n = {n[j]} from "
+            f"{repaired[j]!r} at smaller n, more than the {_MAX_REPAIR:g} "
+            f"relative allowed for inversion jitter"
+        )
+    return TailTable(n_grid=n, mass=repaired)
 
 
 def _mc_block(args):

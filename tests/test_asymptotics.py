@@ -1,8 +1,11 @@
 """Envelope integral, inversion expansion, and tail-coefficient arithmetic."""
+import re
+
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
+from saddletail import asymptotics
 from saddletail.asymptotics import (
     _gl_integral,
     coeffs,
@@ -59,6 +62,22 @@ def test_unit_geometry_coefficients_by_hand():
 def test_coeffs_requires_geometry():
     with pytest.raises(ValueError):
         coeffs(P2)
+
+
+def test_coeffs_raises_when_reversal_identity_fails(monkeypatch):
+    # a quadrature that is off by 1e-6 on the omega side only
+    def skewed(p, which="xi"):
+        return m_integral(p, which) * (1.0 + 1e-6 * (which == "omega"))
+
+    exact = coeffs(P2, eta=0.62, zeta0=0.41).omega0
+    monkeypatch.setattr(asymptotics, "m_integral", skewed)
+    with pytest.raises(NotConverged, match="reversal identity") as info:
+        coeffs(P2, eta=0.62, zeta0=0.41)
+    # the message carries both values: the skewed omega0, then the identity's
+    omega0, alt = map(float, re.findall(r"\d+\.\d+(?:e[-+]\d+)?", str(info.value)))
+    assert alt == pytest.approx(exact, rel=1e-12)
+    beta0 = derive_constants(P2).beta0
+    assert omega0 / alt == pytest.approx((1.0 + 1e-6) ** beta0, rel=1e-9)
 
 
 def test_duality_swap_exchanges_entry_and_exit():

@@ -142,6 +142,14 @@ def test_exit_time_inverse_near_section(tmp_path, capsys):
     assert abs(float(rows[0][2]) - 1.0) <= 1e-10
 
 
+def test_exit_time_inverse_below_smallest_double_exits_3(tmp_path, capsys):
+    path = tmp_path / "steep.json"
+    doc = {"a0": 0.02806, "a2": 32.49, "b0": 20.27, "b2": 0.01635, "kappa": 4}
+    path.write_text(json.dumps(doc))
+    assert run_cli("exit-time", "--config", str(path), "--T", "1e3") == 3
+    assert "numerical failure: BracketFailure" in capsys.readouterr().err
+
+
 def test_builtin_verify_config_matches_default_file():
     path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
     assert json.loads(path.read_text()) == cli._DEFAULT_VERIFY_CONFIG

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from saddletail import _reduction
 from saddletail._reduction import ReductionKernel, kernel_for
-from saddletail.errors import NotConverged
+from saddletail.errors import BracketFailure, NotConverged
 from saddletail.params import SaddleParams, make_rect
 
 P1 = SaddleParams(1.0, 3.0, 2.0, 1.0, 2)
@@ -45,6 +45,18 @@ def test_warm_start_far_off_falls_back():
     # a hopeless guess (orders of magnitude off) still converges
     warm = ker.invert(T, eta, rect.zeta0, lnx0=np.log(cold) - 8.0)
     assert np.max(np.abs(warm / cold - 1.0)) <= 1e-11
+
+
+def test_invert_refuses_root_below_smallest_double():
+    # beta2 = 497: xi(T = 1e3) sits near ln xi = -1941, far below exp's range
+    p = SaddleParams(0.02806, 32.49, 20.27, 0.01635, 4)
+    rect = make_rect(p)
+    ker = ReductionKernel(p)
+    with pytest.raises(BracketFailure, match="smallest normal double"):
+        ker.invert(1e3, rect.eta0, rect.zeta0)
+    # T = 1 on the same set is still representable and round-trips
+    xi = ker.invert(1.0, rect.eta0, rect.zeta0)
+    assert abs(ker.exit_time(xi, np.full(1, rect.eta0), rect.zeta0)[0] - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("p", [P1, P2])

@@ -73,6 +73,30 @@ def test_semi_tail_ladder_cap_raises(monkeypatch):
         semi_analytic_tail(P2, None, DENS, np.array([1, 10]), zeta0=RECT.zeta0, rtol=1e-300)
 
 
+def _bump_last_mass(monkeypatch, rel):
+    """Make the last grid mass exceed the one before it by rel relative."""
+    real = tails._tail_on_nodes
+
+    def bumped(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res[0][-1] = res[0][-2] * (1.0 + rel)
+        return res
+
+    monkeypatch.setattr(tails, "_tail_on_nodes", bumped)
+
+
+def test_semi_tail_repairs_last_ulp_jitter(monkeypatch):
+    _bump_last_mass(monkeypatch, 4e-16)
+    t = semi_analytic_tail(P2, None, DENS, np.array([1, 10, 100]), zeta0=RECT.zeta0)
+    assert t.mass[2] == t.mass[1]
+
+
+def test_semi_tail_refuses_large_monotone_repair(monkeypatch):
+    _bump_last_mass(monkeypatch, 1e-9)
+    with pytest.raises(NonMonotoneInput, match="n = 100"):
+        semi_analytic_tail(P2, None, DENS, np.array([1, 10, 100]), zeta0=RECT.zeta0)
+
+
 def test_monte_carlo_table_cap_raises(monkeypatch):
     monkeypatch.setattr(_reduction, "_XMAX_TOL", -1.0)
     monkeypatch.setattr(_reduction, "_XMAX_MAX_DEG", 32)
