@@ -241,47 +241,65 @@ class ReductionKernel:
         tolerance are the same either way.  Raises BracketFailure when a
         root lies below the smallest normal double, where exp(ln xi) would
         lose its digits or underflow to 0.
+
+        T, eta and lnx0 broadcast against each other, and the result has
+        the broadcast shape (at least 1-d).  Both initial bracket ends are
+        fixed abscissae, so their exit times are computed once per element
+        of eta and broadcast to the targets; only later push-downs of the
+        lower end are evaluated per target.
         """
-        T = np.atleast_1d(np.asarray(T, dtype=float))
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        T, eta = np.broadcast_arrays(T, eta)
+        T = np.asarray(T, dtype=float)
+        eta = np.asarray(eta, dtype=float)
+        shape = np.broadcast_shapes(T.shape, eta.shape, np.shape(lnx0)) or (1,)
         if np.any(T <= 0.0):
             raise ValueError("exit-time targets must be positive")
         ly = np.log(eta)
         lz = math.log(zeta0)
         ln_target = np.log(T)
 
+        def exit_parts(lx, ly):
+            lw = self.omega_log(self.level_log(lx, ly), lz)
+            return lw, self.F_s(ly - lx) - self.F_s(lw - lz)
+
+        def end_excess(lx):
+            # excess at the abscissa lx: one solve per height, broadcast to T
+            D = exit_parts(lx, ly.ravel())[1].reshape(ly.shape)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return ln_target - np.log(D) + self._ln_g(lx, ly)
+
+        ln_target_f = np.broadcast_to(ln_target, shape).ravel()
+        ly_f = np.broadcast_to(ly, shape).ravel()
+
         def excess(lx, i):
             # ln target - ln T(lx): increasing, since T falls as xi grows
-            lw = self.omega_log(self.level_log(lx, ly[i]), lz)
-            D = self.F_s(ly[i] - lx) - self.F_s(lw - lz)
+            lw, D = exit_parts(lx, ly_f[i])
             with np.errstate(divide="ignore", invalid="ignore"):
-                val = ln_target[i] - np.log(D) + self._ln_g(lx, ly[i])
-            return val, -self._dlnT_dlnxi(lx, ly[i], lw, lz, D)
+                val = ln_target_f[i] - np.log(D) + self._ln_g(lx, ly_f[i])
+            return val, -self._dlnT_dlnxi(lx, ly_f[i], lw, lz, D)
 
-        every = np.arange(ln_target.size)
-        hi = np.full(ln_target.shape, lz + math.log1p(-1e-12))
-        if np.any(excess(hi, every)[0] < 0.0):
+        hi = lz + math.log1p(-1e-12)
+        if np.any(end_excess(hi) < 0.0):
             raise BracketFailure(
                 "target exit time smaller than the time from just inside the section"
             )
-        lo = hi - 27.7  # ln(1e12): bracket starts at xi = 1e-12 * zeta0
-        short = every
-        for _ in range(13):
-            short = short[excess(lo[short], short)[0] > 0.0]
+        lo0 = hi - 27.7  # ln(1e12): bracket starts at xi = 1e-12 * zeta0
+        short = np.flatnonzero(np.broadcast_to(end_excess(lo0) > 0.0, shape))
+        lo = np.full(ln_target_f.size, lo0)
+        for _ in range(12):
             if short.size == 0:
                 break
-            lo[short] = hi[short] - 2.0 * (hi[short] - lo[short])
-        else:
+            lo[short] = hi - 2.0 * (hi - lo[short])
+            short = short[excess(lo[short], short)[0] > 0.0]
+        if short.size:
             raise BracketFailure("could not bracket the exit-time inverse")
-        tol = 1e-13 * (1.0 + np.abs(hi))
-        lx = solve_increasing(excess, lo, hi, lnx0, tol=tol)
+        x0 = None if lnx0 is None else np.broadcast_to(lnx0, shape).ravel()
+        lx = solve_increasing(excess, lo, hi, x0, tol=1e-13 * (1.0 + abs(hi)))
         if np.any(lx < _LN_TINY):
             raise BracketFailure(
                 f"exit-time inverse at ln(xi) = {lx.min():.6g} lies below the "
                 f"smallest normal double (ln = {_LN_TINY:.6g})"
             )
-        return np.exp(lx)
+        return np.exp(lx).reshape(shape)
 
     # -- the strip boundary x_max(y) -----------------------------------------
 
@@ -313,7 +331,7 @@ class ReductionKernel:
             return 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
 
         def ln_xmax(t):
-            return np.log(self.invert(np.ones_like(t), height(t), zeta0))
+            return np.log(self.invert(1.0, height(t), zeta0))
 
         deg, err = _XMAX_DEG, math.inf
         while deg <= _XMAX_MAX_DEG:

@@ -164,7 +164,7 @@ def invert_exit_time(p: SaddleParams, eta: float, zeta0: float, T):
     ker = kernel_for(p)
     T_arr = np.asarray(T, dtype=float)
     scalar = T_arr.ndim == 0
-    out = ker.invert(np.atleast_1d(T_arr), np.full(max(T_arr.size, 1), eta), zeta0)
+    out = ker.invert(T_arr, eta, zeta0)
     return float(out[0]) if scalar else out.reshape(T_arr.shape)
 
 

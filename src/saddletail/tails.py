@@ -122,7 +122,7 @@ def _tail_on_nodes(ker, density, zeta0, n_pos, nodes, wts, guess=None, keep=Fals
     solved ln(xi) so a caller can seed a finer pass.
     """
     m = len(nodes)
-    xmax = ker.invert(np.ones(m), nodes, zeta0)
+    xmax = ker.invert(1.0, nodes, zeta0)
     wnode = density.w(nodes) * wts
     strip = float(density.inner_mass(nodes, xmax) @ wnode)
     out = np.empty(len(n_pos))
@@ -130,10 +130,8 @@ def _tail_on_nodes(ker, density, zeta0, n_pos, nodes, wts, guess=None, keep=Fals
     rows = max(1, _CHUNK // m)
     for start in range(0, len(n_pos), rows):
         chunk = n_pos[start : start + rows].astype(float)
-        T_flat = np.repeat(chunk, m)
-        eta_flat = np.tile(nodes, len(chunk))
-        lnx0 = None if guess is None else guess[start : start + rows].ravel()
-        xi = ker.invert(T_flat, eta_flat, zeta0, lnx0=lnx0).reshape(len(chunk), m)
+        lnx0 = None if guess is None else guess[start : start + rows]
+        xi = ker.invert(chunk[:, None], nodes[None, :], zeta0, lnx0=lnx0)
         if keep:
             lnxi[start : start + rows] = np.log(xi)
         np.minimum(xi, xmax[None, :], out=xi)
@@ -159,10 +157,14 @@ def semi_analytic_tail(
     than _MAX_PANELS panels.  The inner integral of the polynomial density
     is exact; the exit-time inversion contributes ~1e-14 relative noise.
     Each node's x_max(y) is solved directly with invert, independently of
-    the table monte_carlo_tail uses.  The inversion noise may break
-    monotonicity in the last ulp, which is repaired; NonMonotoneInput is
-    raised if the repair would lower a mass by more than _MAX_REPAIR
-    relative.
+    the table monte_carlo_tail uses.  On grids longer than 160 points the
+    ladder runs on a log-spaced probe subset; the full grid is then
+    inverted once, warm-started from a cubic spline of the probe ln(xi)
+    in ln n, which leaves about two residual evaluations per point with
+    the same bracket and tolerance as a cold inversion.  The inversion
+    noise may break monotonicity in the last ulp, which is repaired;
+    NonMonotoneInput is raised if the repair would lower a mass by more
+    than _MAX_REPAIR relative.
     """
     if density is None or n_grid is None:
         raise ValueError("density and n_grid are required")
@@ -177,7 +179,7 @@ def semi_analytic_tail(
 
     # the panel ladder runs on a log-spaced probe subset of the grid; the
     # remaining points are then solved once at the converged panel count,
-    # warm-started from the probe inversions interpolated in log-log
+    # warm-started from a cubic spline of the probe ln(xi) in ln n
     if len(n_pos) > 160:
         idx = np.unique(np.rint(np.geomspace(1, len(n_pos), 48)).astype(np.int64)) - 1
         probe = n_pos[idx]
@@ -203,11 +205,13 @@ def semi_analytic_tail(
         panels *= 2
 
     if probe is not n_pos:
+        # deferred: importing scipy.interpolate costs every process about
+        # 45 ms and 2 MB (2-vCPU Xeon), and only dense grids need it
+        from scipy.interpolate import CubicSpline
+
         ln_probe = np.log(probe.astype(float))
         ln_full = np.log(n_pos.astype(float))
-        guess = np.empty((len(n_pos), len(nodes)))
-        for j in range(len(nodes)):
-            guess[:, j] = np.interp(ln_full, ln_probe, lnxi[:, j])
+        guess = CubicSpline(ln_probe, lnxi, axis=0)(ln_full)
         vals, strip = _tail_on_nodes(
             ker, density, zeta0, n_pos, nodes, wts, guess=guess
         )

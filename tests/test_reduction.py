@@ -59,6 +59,50 @@ def test_invert_refuses_root_below_smallest_double():
     assert abs(ker.exit_time(xi, np.full(1, rect.eta0), rect.zeta0)[0] - 1.0) <= 1e-10
 
 
+def _flat_invert(ker, T, eta, zeta0, lnx0=None):
+    """invert on the (T, eta) product laid out flat, T-major, as one 1-d batch."""
+    flat = None if lnx0 is None else lnx0.ravel()
+    xi = ker.invert(np.repeat(T, eta.size), np.tile(eta, T.size), zeta0, lnx0=flat)
+    return xi.reshape(T.size, eta.size)
+
+
+@pytest.mark.parametrize("p", [P1, P2])
+def test_invert_broadcasts_like_the_flat_product(p):
+    rect = make_rect(p)
+    ker = kernel_for(p)
+    # up to 1e24: roots below 1e-12 * zeta0 push the lower bracket end down
+    T = np.geomspace(1e-3, 1e24, 10)
+    eta = np.linspace(rect.eta0, rect.eta1, 7)
+    cold = ker.invert(T[:, None], eta[None, :], rect.zeta0)
+    assert cold.shape == (T.size, eta.size)
+    assert np.array_equal(cold, _flat_invert(ker, T, eta, rect.zeta0))
+    assert cold.min() < 1e-12 * rect.zeta0
+    lnx0 = np.log(cold) + np.linspace(-0.05, 0.05, cold.size).reshape(cold.shape)
+    warm = ker.invert(T[:, None], eta[None, :], rect.zeta0, lnx0=lnx0)
+    assert np.array_equal(warm, _flat_invert(ker, T, eta, rect.zeta0, lnx0))
+    assert np.max(np.abs(warm / cold - 1.0)) <= 1e-12
+    assert ker.invert(T[3], eta[2], rect.zeta0).shape == (1,)
+    assert ker.invert(T[3], eta[2], rect.zeta0)[0] == cold[3, 2]
+    assert ker.invert(T[:, None, None], eta[None, :, None], rect.zeta0).shape == (10, 7, 1)
+
+
+def test_invert_refusals_from_a_broadcast_call():
+    rect = make_rect(P2)
+    ker = kernel_for(P2)
+    eta = np.array([rect.eta0, rect.eta1])
+    # the section time is 4.0e-12 at eta0 and 2.7e-12 at eta1, so only the
+    # (3e-12, eta0) pair lies below it
+    with pytest.raises(BracketFailure, match="just inside the section"):
+        ker.invert(np.array([1.0, 3e-12])[:, None], eta[None, :], rect.zeta0)
+    assert ker.invert(3e-12, rect.eta1, rect.zeta0)[0] > 0.0
+    p = SaddleParams(0.02806, 32.49, 20.27, 0.01635, 4)
+    rect = make_rect(p)
+    ker = ReductionKernel(p)
+    eta = np.linspace(rect.eta0, rect.eta1, 3)
+    with pytest.raises(BracketFailure, match="smallest normal double"):
+        ker.invert(np.array([1.0, 1e3])[:, None], eta[None, :], rect.zeta0)
+
+
 @pytest.mark.parametrize("p", [P1, P2])
 def test_exit_height_preserves_level(p):
     rect = make_rect(p)

@@ -16,6 +16,7 @@ from saddletail.tails import (
     small_tail,
 )
 
+P1 = SaddleParams(1.0, 3.0, 2.0, 1.0, 2)
 P2 = SaddleParams(1.0, 1.0, 1.0, 2.0, 2)
 RECT = make_rect(P2)
 DENS = uniform_density((RECT.eta0, RECT.eta1), 2)
@@ -95,6 +96,41 @@ def test_semi_tail_refuses_large_monotone_repair(monkeypatch):
     _bump_last_mass(monkeypatch, 1e-9)
     with pytest.raises(NonMonotoneInput, match="n = 100"):
         semi_analytic_tail(P2, None, DENS, np.array([1, 10, 100]), zeta0=RECT.zeta0)
+
+
+@pytest.mark.parametrize("p", [P1, P2])
+def test_semi_tail_warm_pass_matches_cold_in_two_evaluations(p, monkeypatch):
+    rect = make_rect(p)
+    dens = uniform_density((rect.eta0, rect.eta1), p.kappa)
+    grid = np.arange(1, 1001)
+    passes, evals, warm = [], [0], [False]
+    real_pass = tails._tail_on_nodes
+    real_solve = _reduction.solve_increasing
+
+    def recorded_pass(ker, density, zeta0, n_pos, nodes, wts, guess=None, keep=False):
+        passes.append((ker, nodes, wts))
+        warm[0] = guess is not None
+        try:
+            return real_pass(ker, density, zeta0, n_pos, nodes, wts, guess, keep)
+        finally:
+            warm[0] = False
+
+    def counted_solve(fun, lo, hi, x=None, **kwargs):
+        # each evaluation of invert's residual runs one omega_log solve on
+        # exactly the elements it evaluates, bracket ends included
+        if warm[0] and "omega_log" in fun.__qualname__:
+            evals[0] += np.broadcast(lo, hi).size
+        return real_solve(fun, lo, hi, x, **kwargs)
+
+    monkeypatch.setattr(tails, "_tail_on_nodes", recorded_pass)
+    monkeypatch.setattr(_reduction, "solve_increasing", counted_solve)
+    t = semi_analytic_tail(p, None, dens, grid, zeta0=rect.zeta0)
+    ker, nodes, wts = passes[-1]
+    elements = len(grid) * len(nodes)
+    # bracket ends once per height and a cubic warm start: 1.97 per element
+    assert elements <= evals[0] <= 2.1 * elements
+    cold, _ = real_pass(ker, dens, rect.zeta0, grid, nodes, wts)
+    assert np.max(np.abs(t.mass / cold - 1.0)) <= 1e-13
 
 
 def test_monte_carlo_table_cap_raises(monkeypatch):
