@@ -1,14 +1,24 @@
-"""Embedded Dormand-Prince 5(4) stepper, vectorised over a batch of orbits.
+"""Embedded Dormand-Prince 5(4) stepper for one orbit or a batch of orbits.
 
-Every orbit in the batch carries its own clock and step size; one loop
-iteration advances all still-active orbits by one attempted step.  The
-autonomous right-hand side is evaluated on (n, 2) arrays, so a batch of
-one is just the scalar case.
+Every orbit carries its own clock and step size.  A batch of several
+orbits is marched with numpy: one loop iteration advances all still-active
+orbits by one attempted step, and the autonomous right-hand side is
+evaluated on (n, 2) arrays.  A batch of exactly one orbit runs its own loop
+on Python floats instead, because numpy's per-call cost on one-element
+arrays would be nearly all of its time.  That loop does the batched loop's
+arithmetic in the same order: stage sums added left to right from 0.0,
+which is how einsum accumulates them, and the step factor's power through
+numpy's power ufunc.  Its results are bit for bit the batched ones
+(tests/test_rk45.py checks this; it rests on einsum not fusing multiply
+and add, which holds for numpy's x86-64 builds).  It calls f.one(x, y) ->
+(dx/dt, dy/dt) and event.g.one(x, y) -> g where those callables carry
+such a one-orbit form (flow._field_closure builds one from the same term
+table as the batch form), and f or g on a (1, 2) block otherwise.
 
-The active orbits live in contiguous arrays of their own, next to their
-original indices; an orbit is written back to the result and dropped only
-on the iteration where it finishes.  The seven stages share one
-preallocated buffer per call.
+In the batched loop the active orbits live in contiguous arrays of their
+own, next to their original indices; an orbit is written back to the result
+and dropped only on the iteration where it finishes.  The seven stages
+share one preallocated buffer per call.
 
 Event detection assumes the event function increases through zero along
 the orbit (true for both uses in this package: section crossings x = zeta0
@@ -16,7 +26,8 @@ and diagonal crossings).  A crossing inside an accepted step is located by
 the package's safeguarded Newton solver on the event function of the
 re-integrated partial step, so the reported crossing time is accurate to
 the integrator tolerance rather than to an interpolant's.  The crossing
-steps are kept and polished in one solve after the loop.
+steps are kept and polished in one solve after the loop; both loops share
+that solve.
 
 Each orbit's arithmetic does not depend on the rest of the batch, so the
 results are bit for bit those of gathering, stepping and polishing the
@@ -25,6 +36,7 @@ design as its reference).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,6 +63,9 @@ _B4 = np.array(
 )
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _E = _B5 - _B4
+# the same rows as Python floats, for the one-orbit loop
+_A_ROWS = tuple(tuple(map(float, row)) for row in _A[1:])
+_E_ROW = tuple(map(float, _E))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -138,6 +153,112 @@ def _polish_crossing(f, event, z_a, f_a, z_b, h, k):
     return sig, z_s
 
 
+def _one_form(fn):
+    """fn's one-orbit form on Python floats, else fn on a (1, 2) block."""
+    return getattr(fn, "one", None) or (lambda x, y: fn(np.array([[x, y]]))[0])
+
+
+def _step_one(f1, x, y, fx, fy, h):
+    """_rk_step for one orbit; returns (x1, y1, err_x, err_y, fx1, fy1).
+
+    Every stage sum adds its products left to right from 0.0, zero
+    coefficients included, as the einsum in _rk_step does.
+    """
+    kx, ky = [fx], [fy]
+    for row in _A_ROWS:
+        sx = sy = 0.0
+        for a, u, v in zip(row, kx, ky):
+            sx += a * u
+            sy += a * v
+        x1, y1 = x + h * sx, y + h * sy
+        u, v = f1(x1, y1)
+        kx.append(u)
+        ky.append(v)
+    ex = ey = 0.0
+    for e, u, v in zip(_E_ROW, kx, ky):
+        ex += e * u
+        ey += e * v
+    return x1, y1, h * ex, h * ey, kx[6], ky[6]
+
+
+def _march_one(f, event, z, fz, h, t_out, t_ev, z_ev, *, done, cap, record,
+               rtol, atol, max_step, max_steps, bbox, slack):
+    """integrate's loop for a batch of one orbit, on Python floats.
+
+    Fills t_out, z, t_ev and z_ev in place and returns (steps, traj).  Each
+    line does what the batched loop does to a one-element array, in the
+    same order, and keeps numpy's handling of nan: np.maximum and
+    np.minimum return it, so the builtins get the operand that can be nan
+    first (the new state is nan whenever the old one is), and nan > 0 is
+    false.  In event mode cap is the censoring time, so a clamped step that
+    does not cross is censored.
+    """
+    f1 = _one_form(f)
+    g1 = _one_form(event.g) if event is not None else None
+    x, y = float(z[0, 0]), float(z[0, 1])
+    fx, fy = float(fz[0, 0]), float(fz[0, 1])
+    t = 0.0
+    traj_t, traj_z = [t], [(x, y)]
+    crossing = None
+    steps = 0
+    while not done:
+        if steps >= max_steps:
+            raise StepLimitExceeded(f"max_steps = {max_steps} reached")
+        steps += 1
+
+        clamped = cap is not None and h >= cap - t
+        hs = cap - t if clamped else h
+        if hs < 1e-14 * max(1.0, abs(t)) + 1e-300:
+            raise StepLimitExceeded("step size underflow")
+
+        x1, y1, ex, ey, fx1, fy1 = _step_one(f1, x, y, fx, fy, hs)
+        qx = ex / (atol + rtol * max(abs(x1), abs(x)))
+        qy = ey / (atol + rtol * max(abs(y1), abs(y)))
+        en = math.sqrt((qx * qx + qy * qy) / 2.0)
+        acc = en <= 1.0
+
+        factor = _SAFETY * float(np.power(en if en > 0.0 else 1e-16, -0.2))
+        factor = min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
+        if not (acc and clamped):
+            h = min(hs * factor, max_step)
+
+        if not acc:
+            continue
+        if x1 < -slack or x1 > bbox or y1 < -slack or y1 > bbox:
+            raise LeftDomain(f"orbit 0 left [0, {bbox}]^2 near t = {t:.6g}")
+        t1 = t + hs
+        if record:
+            traj_t.append(t1)
+            traj_z.append((x1, y1))
+
+        if event is not None:
+            if g1(x1, y1) >= 0.0:
+                crossing = (x, y, fx, fy, hs, t)
+                done = True
+            elif clamped:
+                t_ev[0] = np.inf
+                done = True
+        else:
+            done = clamped
+        x, y, fx, fy, t = x1, y1, fx1, fy1, t1
+    if steps:
+        t_out[0] = t if event is not None else cap
+        z[0] = x, y
+
+    traj = (np.array(traj_t), np.array(traj_z)) if record else None
+    if crossing is not None:
+        xa, ya, fxa, fya, ha, ta = crossing
+        sig, z_c = _polish_crossing(
+            f, event, np.array([[xa, ya]]), np.array([[fxa, fya]]), z,
+            np.array([ha]), np.empty((7, 1, 2)),
+        )
+        t_ev[0] = ta + float(sig[0]) * ha
+        z_ev[0] = z_c[0]
+        if record:
+            traj[0][-1], traj[1][-1] = t_ev[0], z_ev[0]
+    return steps, traj
+
+
 def integrate(
     f,
     z0: np.ndarray,
@@ -156,7 +277,8 @@ def integrate(
 
     Exactly one of t_end / event decides completion; censor caps the clock
     in event mode (censored orbits get t_event = +inf).  record keeps the
-    accepted-step history and is restricted to single-orbit batches.
+    accepted-step history and is restricted to single-orbit batches, which
+    run the one-orbit loop.
     """
     if (t_end is None) == (event is None):
         raise ValueError("need exactly one of t_end or event")
@@ -185,8 +307,17 @@ def integrate(
     if t_end == 0.0:
         done[:] = True
 
-    traj_t, traj_z = ([0.0], [z[0].copy()]) if record else (None, None)
     h = _initial_step(f, z, fz, rtol, atol, max_step)
+    cap = t_end if t_end is not None else censor
+    if n == 1:
+        steps, traj = _march_one(
+            f, event, z, fz, float(h[0]), t, t_ev, z_ev, done=bool(done[0]),
+            cap=cap, record=record, rtol=rtol, atol=atol,
+            max_step=max_step, max_steps=max_steps, bbox=bbox, slack=slack,
+        )
+        return IntegrationResult(
+            t=t, z=z, t_event=t_ev, z_event=z_ev, n_steps=steps, traj=traj
+        )
 
     # the still-active orbits, contiguous: original index, state, derivative,
     # working step size and clock; finished orbits are written back to
@@ -194,7 +325,6 @@ def integrate(
     idx = np.flatnonzero(~done)
     za, fa, ha, ta = z[idx], fz[idx], h[idx], t[idx]
     k = np.empty((7,) + za.shape)
-    cap = t_end if t_end is not None else censor
     # the crossing step of each orbit that crossed, polished after the loop:
     # start state, derivative, step and clock; its end state is the orbit's
     # final state in z.  Allocated once up front: chunks appended inside the
@@ -243,10 +373,6 @@ def integrate(
             z1 = np.where(acc[:, None], z1, za)
             f1 = np.where(acc[:, None], f1, fa)
 
-        if record:
-            traj_t.append(t1[0])
-            traj_z.append(z1[0].copy())
-
         if event is not None:
             crossed = acc & (event.g(z1) >= 0.0)
             fin = crossed
@@ -275,13 +401,7 @@ def integrate(
         sig, z_c = _polish_crossing(f, event, z_a[ci], f_a[ci], z[ci], h_a[ci], k)
         t_ev[ci] = t_a[ci] + sig * h_a[ci]
         z_ev[ci] = z_c
-        if record:
-            traj_t[-1] = t_ev[0]
-            traj_z[-1] = z_ev[0].copy()
 
-    traj = None
-    if record:
-        traj = (np.array(traj_t), np.array(traj_z))
     return IntegrationResult(
-        t=t, z=z, t_event=t_ev, z_event=z_ev, n_steps=steps, traj=traj
+        t=t, z=z, t_event=t_ev, z_event=z_ev, n_steps=steps, traj=None
     )

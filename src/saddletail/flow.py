@@ -23,6 +23,7 @@ the point, so neither calls the other.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,28 +150,73 @@ class Trajectory:
 _DEFAULT_CFG = IntegratorConfig()
 
 
+def _power(v: float, e: int) -> float:
+    """v**e for one coordinate, bit for bit numpy's v**e on an array.
+
+    numpy squares an array for **2; every other power goes through its
+    power ufunc, whose SIMD loops can differ from libm's pow in the last bit.
+    """
+    return v * v if e == 2 else float(np.power(v, e))
+
+
 def _field_closure(p: SaddleParams, pert: Perturbation | None):
-    """Vectorised right-hand side acting on (n, 2) state blocks."""
+    """Right-hand side on (n, 2) state blocks, with its one-orbit form.
+
+    The returned f carries f.one(x, y) -> (dx/dt, dy/dt) on Python floats,
+    for _rk45's one-orbit loop.  Both forms run the same formula, which
+    raises x and y to each distinct power once per call, so they agree bit
+    for bit.
+    """
     a0, a2, b0, b2 = float(p.a0), float(p.a2), float(p.b0), float(p.b2)
     k = p.kappa
-    terms_x = pert.px if pert is not None else ()
-    terms_y = pert.py if pert is not None else ()
+    # (coefficient, power of x, power of y) of each correction term:
+    # x * term is added to dx/dt and y * term subtracted from dy/dt
+    terms_x = [(c, i + 1, j) for i, j, c in (pert.px if pert is not None else ())]
+    terms_y = [(c, i, j + 1) for i, j, c in (pert.py if pert is not None else ())]
+    exps_x = sorted({k, *(i for _, i, _ in terms_x + terms_y)})
+    exps_y = sorted({k, *(j for _, _, j in terms_x + terms_y)})
+
+    def rhs(x, y, power):
+        xp, yp = {}, {}
+        for e in exps_x:
+            xp[e] = power(x, e)
+        for e in exps_y:
+            yp[e] = power(y, e)
+        u = x * (a0 * xp[k] + a2 * yp[k])
+        v = -y * (b0 * xp[k] + b2 * yp[k])
+        for c, i, j in terms_x:
+            u += c * xp[i] * yp[j]
+        for c, i, j in terms_y:
+            v -= c * xp[i] * yp[j]
+        return u, v
 
     def f(z: np.ndarray) -> np.ndarray:
-        x = z[:, 0]
-        y = z[:, 1]
-        xk = x**k
-        yk = y**k
         out = np.empty_like(z)
-        out[:, 0] = x * (a0 * xk + a2 * yk)
-        out[:, 1] = -y * (b0 * xk + b2 * yk)
-        for i, j, c in terms_x:
-            out[:, 0] += c * x ** (i + 1) * y**j
-        for i, j, c in terms_y:
-            out[:, 1] -= c * x**i * y ** (j + 1)
+        out[:, 0], out[:, 1] = rhs(z[:, 0], z[:, 1], operator.pow)
         return out
 
+    f.one = lambda x, y: rhs(x, y, _power)
     return f
+
+
+def _backward(f):
+    """The sign-flipped field, in both of f's forms."""
+
+    def neg(z: np.ndarray) -> np.ndarray:
+        return -f(z)
+
+    def one(x: float, y: float) -> tuple[float, float]:
+        u, v = f.one(x, y)
+        return -u, -v
+
+    neg.one = one
+    return neg
+
+
+def _event(g, g_one, gdot) -> _rk45.Event:
+    """An _rk45.Event whose g carries its one-orbit form g_one(x, y)."""
+    g.one = g_one
+    return _rk45.Event(g=g, gdot=gdot)
 
 
 def _as_block(z) -> tuple[np.ndarray, bool]:
@@ -197,6 +243,8 @@ def eval_field(p: SaddleParams, z, pert: Perturbation | None = None):
 
 
 def _check_start(block: np.ndarray, bbox: float) -> None:
+    if not np.isfinite(block).all():
+        raise ValueError("initial states must be finite")
     if np.any(block < 0.0):
         raise ValueError("initial states must lie in the closed positive quadrant")
     if np.any(block > bbox):
@@ -226,6 +274,8 @@ def flow(
     if record and not single:
         raise ValueError("record=True needs a single initial state")
     t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"flow time must be finite, got {t}")
     if t == 0.0:
         out = block.copy()
         if record:
@@ -235,8 +285,7 @@ def flow(
 
     f = _field_closure(p, pert)
     if t < 0.0:
-        base = f
-        f = lambda z: -base(z)  # noqa: E731
+        f = _backward(f)
     res = _rk45.integrate(
         f,
         block,
@@ -339,12 +388,12 @@ def perturbed_first_integral(
     forward = y0 > x0
     f = _field_closure(p, pert)
     if not forward:
-        base = f
-        f = lambda zz: -base(zz)  # noqa: E731
+        f = _backward(f)
     sign = 1.0 if forward else -1.0
-    event = _rk45.Event(
-        g=lambda zz: sign * (zz[:, 0] - zz[:, 1]),
-        gdot=lambda zz, fz: sign * (fz[:, 0] - fz[:, 1]),
+    event = _event(
+        lambda zz: sign * (zz[:, 0] - zz[:, 1]),
+        lambda x, y: sign * (x - y),
+        lambda zz, fz: sign * (fz[:, 0] - fz[:, 1]),
     )
     try:
         res = _rk45.integrate(
@@ -471,9 +520,8 @@ def _exit_times_batch(
     block = np.column_stack([xis, etas]).astype(float)
     _check_start(block, cfg.bbox)
     f = _field_closure(p, pert)
-    event = _rk45.Event(
-        g=lambda zz: zz[:, 0] - zeta0,
-        gdot=lambda zz, fz: fz[:, 0],
+    event = _event(
+        lambda zz: zz[:, 0] - zeta0, lambda x, y: x - zeta0, lambda zz, fz: fz[:, 0]
     )
     res = _rk45.integrate(
         f,

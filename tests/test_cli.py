@@ -101,6 +101,13 @@ def test_flow_final_state_matches_library(config_path, capsys):
     assert doc["y"] == pytest.approx(end.y, rel=1e-9)
 
 
+@pytest.mark.parametrize("x0, t", [("nan", "1"), ("0.1", "inf")])
+def test_flow_non_finite_input_exits_2(config_path, capsys, x0, t):
+    args = ("flow", "--config", config_path, "--x0", x0, "--y0", "0.4", "--t", t)
+    assert run_cli(*args) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_flow_record_csv(config_path, capsys):
     code = run_cli(
         "flow", "--config", config_path, "--x0", "0.1", "--y0", "0.3", "--t", "1.0", "--record"

@@ -123,6 +123,24 @@ def test_flow_start_validation():
         flow(P2, (0.1, 99.0), 1.0)
 
 
+@pytest.mark.parametrize(
+    "z0, t",
+    [
+        ((math.nan, 0.4), 1.0),
+        ((0.1, math.inf), 1.0),
+        ((0.1, 0.4), math.nan),
+        ((0.1, 0.4), -math.inf),
+    ],
+)
+def test_flow_rejects_non_finite_input(z0, t):
+    # raised before integrating: a nan start used to spin through the step budget
+    with pytest.raises(ValueError):
+        flow(P2, z0, t, cfg=TIGHT)
+    if math.isfinite(t):
+        with pytest.raises(ValueError):
+            perturbed_first_integral(P2, None, z0)
+
+
 def test_step_budget_raises():
     tiny = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-15, max_step=np.inf, max_steps=5, bbox=4.0)
     with pytest.raises(StepLimitExceeded):

@@ -1,9 +1,12 @@
-"""The batched Dormand-Prince stepper against a frozen per-iteration design.
+"""The Dormand-Prince stepper against a frozen per-iteration design.
 
 The reference below gathers and scatters the active orbits on every loop
 iteration, stacks its stages with np.array and polishes each iteration's
 crossings at once.  integrate must reproduce it bit for bit: same step
-sequence, same clocks and states, same polished crossings.
+sequence, same clocks and states, same polished crossings.  Batches of one
+orbit run integrate's one-orbit loop on Python floats and every other
+batch its numpy loop, so single-orbit cases check the former and blocks
+the latter.
 """
 import numpy as np
 import pytest
@@ -21,12 +24,30 @@ from saddletail._rk45 import (
     _initial_step,
     integrate,
 )
-from saddletail.flow import IntegratorConfig, Perturbation, _field_closure
+from saddletail.errors import LeftDomain, SaddleTailError
+from saddletail.flow import (
+    IntegratorConfig,
+    Perturbation,
+    _backward,
+    _event,
+    _field_closure,
+    flow,
+)
 from saddletail.params import SaddleParams, make_rect
 
 P2 = SaddleParams(1.0, 1.0, 1.0, 2.0, 2)
 RECT = make_rect(P2)
 PERT = Perturbation.from_terms(px=[(1, 2, 0.1)], py=[(2, 1, -0.1)])
+# kappa 4 and 6 with corrections whose powers are not squares, so the
+# one-orbit field goes through numpy's power ufunc
+P4 = SaddleParams(1.0, 0.7, 1.3, 2.0, 4)
+PERT4 = Perturbation.from_terms(
+    px=[(1, 4, 0.1), (3, 2, -0.05), (0, 5, 0.02)], py=[(2, 3, -0.1), (5, 0, 0.03)]
+)
+P6 = SaddleParams(0.8, 1.1, 0.9, 1.7, 6)
+PERT6 = Perturbation.from_terms(
+    px=[(3, 4, 0.1), (7, 0, 0.01)], py=[(4, 3, -0.1), (0, 7, 0.05), (1, 6, 0.02)]
+)
 MC_CFG = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10)  # the Monte Carlo route's
 SECTION = Event(g=lambda z: z[:, 0] - RECT.zeta0, gdot=lambda z, fz: fz[:, 0])
 
@@ -140,10 +161,10 @@ def _tolerances(cfg):
                 max_steps=cfg.max_steps, bbox=cfg.bbox)
 
 
-def _starts(n, seed):
+def _starts(n, seed, rect=RECT):
     rng = np.random.default_rng(seed)
-    xi = np.exp(rng.uniform(np.log(1e-3 * RECT.zeta0), np.log(0.9 * RECT.zeta0), n))
-    eta = rng.uniform(RECT.eta0, RECT.eta1, n)
+    xi = np.exp(rng.uniform(np.log(1e-3 * rect.zeta0), np.log(0.9 * rect.zeta0), n))
+    eta = rng.uniform(rect.eta0, rect.eta1, n)
     return np.column_stack([xi, eta])
 
 
@@ -202,10 +223,92 @@ def test_crossing_does_not_depend_on_its_batch():
         assert np.array_equal(part.z_event, full.z_event[pick])
 
 
-@pytest.mark.parametrize("t_end", [0.0, 1.5])
-def test_started_past_and_zero_length_runs_match_reference(t_end):
+@pytest.mark.parametrize(
+    "t_end, rows",
+    [
+        pytest.param(0.0, [0, 1, 2], id="0.0"),
+        pytest.param(1.5, [0, 1, 2], id="1.5"),
+        # each start alone, in the one-orbit loop
+        *(pytest.param(t, [i], id=f"{t}-orbit{i}") for t in (0.0, 1.5) for i in range(3)),
+    ],
+)
+def test_started_past_and_zero_length_runs_match_reference(t_end, rows):
     f = _field_closure(P2, None)
-    z0 = np.array([[0.5, 0.4], [0.1, 0.4], [RECT.zeta0, 0.4]])
+    z0 = np.array([[0.5, 0.4], [0.1, 0.4], [RECT.zeta0, 0.4]])[rows]
     kw = _tolerances(IntegratorConfig())
     _assert_same(integrate(f, z0, event=SECTION, **kw), _ref_integrate(f, z0, event=SECTION, **kw))
     _assert_same(integrate(f, z0, t_end=t_end, **kw), _ref_integrate(f, z0, t_end=t_end, **kw))
+
+
+def test_censored_single_orbits_match_reference():
+    f = _field_closure(P2, PERT)
+    kw = dict(event=SECTION, censor=200.0, **_tolerances(MC_CFG))
+    censored = []
+    for z0 in _starts(16, 7):
+        res = integrate(f, z0[None], **kw)
+        _assert_same(res, _ref_integrate(f, z0[None], **kw))
+        censored.append(np.isinf(res.t_event[0]))
+    assert 0 < sum(censored) < 16
+
+
+def test_recorded_section_event_matches_reference():
+    f = _field_closure(P2, PERT)
+    section = _event(
+        lambda z: z[:, 0] - RECT.zeta0, lambda x, y: x - RECT.zeta0, lambda z, fz: fz[:, 0]
+    )
+    kw = dict(event=section, record=True, **_tolerances(IntegratorConfig()))
+    z0 = np.array([[0.01, 0.4]])
+    res = integrate(f, z0, **kw)
+    _assert_same(res, _ref_integrate(f, z0, **kw))
+    assert res.traj[0][-1] == res.t_event[0]
+
+
+def test_recorded_backward_flow_matches_reference():
+    f = _field_closure(P2, PERT)
+    kw = dict(t_end=1.25, record=True, **_tolerances(IntegratorConfig()))
+    z0 = np.array([[0.2, 0.4]])
+    ref = _ref_integrate(lambda z: -f(z), z0, **kw)
+    _assert_same(integrate(_backward(f), z0, **kw), ref)
+    end, traj = flow(P2, (0.2, 0.4), -1.25, pert=PERT, record=True)
+    assert [end.x, end.y] == ref.z[0].tolist()
+    assert np.array_equal(traj.states[::-1], ref.traj[1])
+
+
+@pytest.mark.parametrize("p, pert", [(P4, PERT4), (P6, PERT6)], ids=["kappa4", "kappa6"])
+def test_one_orbit_loop_matches_batched_loop(p, pert):
+    f = _field_closure(p, pert)
+    z0 = _starts(4, 3, make_rect(p))
+    assert np.array_equal(f(z0), [f.one(x, y) for x, y in z0.tolist()])
+    zeta0 = make_rect(p).zeta0
+    section = _event(lambda z: z[:, 0] - zeta0, lambda x, y: x - zeta0, lambda z, fz: fz[:, 0])
+    for mode in (dict(event=section), dict(t_end=2.0)):
+        kw = dict(mode, **_tolerances(IntegratorConfig()))
+        block = integrate(f, z0, **kw)
+        for i in range(len(z0)):
+            one = integrate(f, z0[i : i + 1], **kw)
+            # two copies of one orbit take that orbit's steps in the numpy loop
+            pair = integrate(f, z0[[i, i]], **kw)
+            assert one.n_steps == pair.n_steps
+            for name in ("t", "z", "t_event", "z_event"):
+                got, want = getattr(one, name)[0], getattr(block, name)[i]
+                assert np.array_equal(got, want, equal_nan=True), (mode, i, name)
+
+
+@pytest.mark.parametrize(
+    "p, pert, z0, bbox, error",
+    [
+        (P2, None, (0.9, 0.0), 8.0, LeftDomain),
+        # the field overflows long before the box is left
+        (P6, PERT6, (1e42, 1e41), 1e300, SaddleTailError),
+    ],
+    ids=["leaves_box", "overflows"],
+)
+def test_both_loops_fail_alike(p, pert, z0, bbox, error):
+    f = _field_closure(p, pert)
+    kw = dict(t_end=2.0, rtol=1e-7, atol=1e-10, max_step=1e9, max_steps=300, bbox=bbox)
+    raised = []
+    for block in (np.array([z0]), np.array([z0, z0])):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as exc:
+            integrate(f, block, **kw)
+        raised.append((type(exc.value), str(exc.value)))
+    assert raised[0] == raised[1]
