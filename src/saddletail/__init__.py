@@ -33,6 +33,7 @@ from .errors import (
     DiagonalNotReached,
     IllConditioned,
     InsufficientData,
+    InvalidInput,
     LeftDomain,
     NonIntegrable,
     NonMonotoneInput,
@@ -101,6 +102,7 @@ __all__ = [
     "IllConditioned",
     "InsufficientData",
     "IntegratorConfig",
+    "InvalidInput",
     "LeftDomain",
     "MeasureClass",
     "MixingCoeffs",

@@ -37,7 +37,7 @@ from numpy.polynomial.chebyshev import chebinterpolate, chebval
 from scipy.special import expit
 
 from ._numerics import GL_NODES, GL_WEIGHTS, gl_panels, solve_increasing
-from .errors import BracketFailure, NonIntegrable, NotConverged
+from .errors import BracketFailure, InvalidInput, NonIntegrable, NotConverged
 from .params import SaddleParams, derive_constants
 
 __all__ = ["ReductionKernel", "kernel_for"]
@@ -67,7 +67,7 @@ class ReductionKernel:
     arrays and never iterate per sample.
     """
 
-    def __init__(self, p: SaddleParams, panel_scale: float = 1.0):
+    def __init__(self, p: SaddleParams):
         d = derive_constants(p, permissive=True)
         if not (math.isfinite(d.beta0) and math.isfinite(d.beta2)):
             raise NonIntegrable(
@@ -86,9 +86,7 @@ class ReductionKernel:
 
         self.s_lo = (self.ln_c0 - self.ln_c2 + math.log(_W_CUT)) / self.k
         self.s_hi = (self.ln_c0 - self.ln_c2 - math.log(_W_CUT)) / self.k
-        n_panels = int(
-            math.ceil((self.s_hi - self.s_lo) / (1.5 * panel_scale / self.k))
-        )
+        n_panels = int(math.ceil((self.s_hi - self.s_lo) / (1.5 / self.k)))
         nodes, wts = gl_panels(self.s_lo, self.s_hi, n_panels)
         panel = (self.phi_s(nodes) * wts).reshape(n_panels, -1).sum(axis=1)
         self.edges = np.linspace(self.s_lo, self.s_hi, n_panels + 1)
@@ -251,8 +249,8 @@ class ReductionKernel:
         T = np.asarray(T, dtype=float)
         eta = np.asarray(eta, dtype=float)
         shape = np.broadcast_shapes(T.shape, eta.shape, np.shape(lnx0)) or (1,)
-        if np.any(T <= 0.0):
-            raise ValueError("exit-time targets must be positive")
+        if not np.all(T > 0.0):
+            raise InvalidInput("exit-time targets must be positive")
         ly = np.log(eta)
         lz = math.log(zeta0)
         ln_target = np.log(T)
@@ -317,7 +315,7 @@ class ReductionKernel:
         lo, hi = float(eta_range[0]), float(eta_range[1])
         eta = np.atleast_1d(np.asarray(eta, dtype=float))
         if np.any(eta < lo) or np.any(eta > hi):
-            raise ValueError("x_max heights must lie in eta_range")
+            raise InvalidInput("x_max heights must lie in eta_range")
         key = (float(zeta0), lo, hi)
         coef = self._xmax_tables.get(key)
         if coef is None:

@@ -31,7 +31,7 @@ import numpy as np
 from ._numerics import gl_panels
 from ._reduction import kernel_for
 from .density import EntryDensity
-from .errors import NotConverged
+from .errors import InvalidInput, NotConverged
 from .params import SaddleParams, derive_constants
 
 __all__ = [
@@ -68,7 +68,7 @@ def m_integral(p: SaddleParams, orientation: str = "xi") -> float:
         return kernel_for(p).I_inf
     if orientation == "omega":
         return kernel_for(_swap(p)).I_inf
-    raise ValueError(f"orientation must be 'xi' or 'omega', got {orientation!r}")
+    raise InvalidInput(f"orientation must be 'xi' or 'omega', got {orientation!r}")
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,9 @@ def coeffs(
     raises NotConverged.
     """
     if eta is None or zeta0 is None:
-        raise ValueError("eta and zeta0 are required")
+        raise InvalidInput("eta and zeta0 are required")
     if eta <= 0.0 or zeta0 <= 0.0:
-        raise ValueError("eta and zeta0 must be positive")
+        raise InvalidInput("eta and zeta0 must be positive")
     if d is None:
         d = derive_constants(p)
     k = float(p.kappa)
@@ -160,7 +160,7 @@ def invert_exit_time(p: SaddleParams, eta: float, zeta0: float, T):
     arrays vectorise.
     """
     if eta <= 0.0 or zeta0 <= 0.0:
-        raise ValueError("eta and zeta0 must be positive")
+        raise InvalidInput("eta and zeta0 must be positive")
     ker = kernel_for(p)
     T_arr = np.asarray(T, dtype=float)
     scalar = T_arr.ndim == 0
@@ -213,9 +213,9 @@ def tail_coeffs(
     for j = 1..kappa, with xi0, xi1 taken at entry height y.  C0 = H_1.
     """
     if density is None or zeta0 is None:
-        raise ValueError("density and zeta0 are required")
+        raise InvalidInput("density and zeta0 are required")
     if zeta0 <= 0.0:
-        raise ValueError("zeta0 must be positive")
+        raise InvalidInput("zeta0 must be positive")
     if d is None:
         d = derive_constants(p)
     k = float(p.kappa)
@@ -261,7 +261,7 @@ def tail_expansion(tc: TailCoeffs, n):
     """
     n = np.asarray(n, dtype=float)
     if np.any(n <= 0.0):
-        raise ValueError("tail times must be positive")
+        raise InvalidInput("tail times must be positive")
     out = np.zeros_like(n)
     for j, (hj, hhj) in enumerate(zip(tc.H, tc.Hhat), start=1):
         out += hj * n ** (-j * tc.beta) - hhj * n ** (-(j * tc.beta + 1.0))

@@ -6,15 +6,20 @@ output, so reports carry no timestamps or timings, floats are printed
 with shortest round-trip repr, and JSON keys are sorted.  Each report
 embeds the config hash and the library version.
 
+Each subcommand takes --config and --out; --format only where it prints a
+table, and --seed and --jobs only where they are read (tail, verify).  An
+option a subcommand does not take is a usage error.
+
 Exit codes: 0 success, 1 usage or parse failure (also any failed verify
-gate), 2 validation failure, 3 numerical failure.
+gate), 2 invalid input or configuration, 3 any other SaddleTailError (a
+numerical failure).  Any other exception is a bug and propagates.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -23,18 +28,11 @@ from .asymptotics import coeffs, invert_exit_time, tail_coeffs, xi_expansion
 from .config import RunConfig, load_config, parse_config
 from .errors import (
     BetaOutOfRange,
-    BracketFailure,
     ConfigError,
     DegenerateDelta,
-    DiagonalNotReached,
-    IllConditioned,
-    InsufficientData,
-    LeftDomain,
-    NonIntegrable,
-    NonMonotoneInput,
-    NotConverged,
+    InvalidInput,
+    SaddleTailError,
     SeedRequired,
-    StepLimitExceeded,
 )
 from .flow import flow
 from .params import derive_constants
@@ -46,18 +44,13 @@ from .verify import jsonable as _py
 
 __all__ = ["main"]
 
-_NUMERICAL = (
-    StepLimitExceeded,
-    LeftDomain,
-    BracketFailure,
-    DiagonalNotReached,
-    IllConditioned,
-    NonIntegrable,
-    NonMonotoneInput,
-    InsufficientData,
-    NotConverged,
+_INPUT_ERRORS = (
+    ConfigError,
+    DegenerateDelta,
+    SeedRequired,
+    BetaOutOfRange,
+    InvalidInput,
 )
-_VALIDATION = (ConfigError, DegenerateDelta, SeedRequired, BetaOutOfRange, ValueError)
 
 
 class _Usage(Exception):
@@ -94,27 +87,6 @@ def _csv_lines(cfg: RunConfig, comments: list[str], header: str, rows) -> str:
     return "\n".join(out) + "\n"
 
 
-def _load(args) -> RunConfig:
-    if args.config is None:
-        raise _Usage("--config is required for this command")
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
-
-
-def _out_path(args, cfg: RunConfig) -> str | None:
-    return args.out if args.out is not None else cfg.out_path
-
-
-def _format(args, cfg: RunConfig, default: str) -> str:
-    if args.format is not None:
-        return args.format
-    if cfg.out_format is not None:
-        return cfg.out_format
-    return default
-
-
 def _derived_dict(d) -> dict:
     out = asdict(d)
     out["measure_class"] = d.measure_class.value
@@ -122,7 +94,7 @@ def _derived_dict(d) -> dict:
 
 
 def cmd_derive(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     d = derive_constants(cfg.params)
     c = coeffs(cfg.params, d, eta=cfg.rect.eta0, zeta0=cfg.rect.zeta0)
     tc = tail_coeffs(cfg.params, d, cfg.density, zeta0=cfg.rect.zeta0)
@@ -131,12 +103,12 @@ def cmd_derive(args) -> int:
         "asymptotic_coeffs": asdict(c),
         "tail_coeffs": asdict(tc),
     }
-    _emit(_json_report(cfg, body), _out_path(args, cfg))
+    _emit(_json_report(cfg, body), args.out)
     return 0
 
 
 def cmd_flow(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     z0 = (args.x0, args.y0)
     if args.record:
         state, traj = flow(
@@ -147,8 +119,7 @@ def cmd_flow(args) -> int:
             cfg=cfg.integrator,
             record=True,
         )
-        fmt = _format(args, cfg, "csv")
-        if fmt == "csv":
+        if args.format == "csv":
             rows = [
                 (traj.t[i], traj.states[i, 0], traj.states[i, 1])
                 for i in range(len(traj))
@@ -168,29 +139,25 @@ def cmd_flow(args) -> int:
             cfg.params, z0, args.t, pert=cfg.perturbation, cfg=cfg.integrator
         )
         text = _json_report(cfg, {"t": args.t, "x": state.x, "y": state.y})
-    _emit(text, _out_path(args, cfg))
+    _emit(text, args.out)
     return 0
 
 
 def cmd_exit_time(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     p = cfg.params
     zeta0 = cfg.rect.zeta0
     eta = args.eta if args.eta is not None else cfg.rect.eta0
     if (args.xi is None) == (args.T is None):
         raise _Usage("exit-time needs exactly one of --xi or --T")
-    fmt = _format(args, cfg, "csv")
     if args.xi is not None:
         ker = kernel_for(p)
         xis = np.asarray(args.xi, dtype=float)
-        if np.any(xis <= 0.0) or np.any(xis > zeta0):
-            raise ValueError("--xi values must lie in (0, zeta0]")
+        if not np.all((xis > 0.0) & (xis <= zeta0)):
+            raise InvalidInput("--xi values must lie in (0, zeta0]")
         T, omega = ker.exit_time(xis, np.full(len(xis), eta), zeta0, with_omega=True)
         rows = [(xis[i], eta, T[i], omega[i]) for i in range(len(xis))]
         header = "xi,eta,T,omega"
-        records = [
-            {"xi": r[0], "eta": r[1], "T": r[2], "omega": r[3]} for r in rows
-        ]
     else:
         Ts = np.asarray(args.T, dtype=float)
         xi_exact = invert_exit_time(p, eta, zeta0, Ts)
@@ -201,26 +168,17 @@ def cmd_exit_time(args) -> int:
             (Ts[i], eta, xi_exact[i], xi_exp[i], gap[i]) for i in range(len(Ts))
         ]
         header = "T,eta,xi_exact,xi_expansion,relative_gap"
-        records = [
-            {
-                "T": r[0],
-                "eta": r[1],
-                "xi_exact": r[2],
-                "xi_expansion": r[3],
-                "relative_gap": r[4],
-            }
-            for r in rows
-        ]
-    if fmt == "csv":
+    if args.format == "csv":
         text = _csv_lines(cfg, [], header, rows)
     else:
-        text = _json_report(cfg, {"rows": records})
-    _emit(text, _out_path(args, cfg))
+        names = header.split(",")
+        text = _json_report(cfg, {"rows": [dict(zip(names, r)) for r in rows]})
+    _emit(text, args.out)
     return 0
 
 
 def cmd_asymptotics(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     d = derive_constants(cfg.params)
     c = coeffs(cfg.params, d, eta=cfg.rect.eta0, zeta0=cfg.rect.zeta0)
     tc = tail_coeffs(cfg.params, d, cfg.density, zeta0=cfg.rect.zeta0)
@@ -236,7 +194,7 @@ def cmd_asymptotics(args) -> int:
         "H": list(tc.H),
         "Hhat": list(tc.Hhat),
     }
-    _emit(_json_report(cfg, body), _out_path(args, cfg))
+    _emit(_json_report(cfg, body), args.out)
     return 0
 
 
@@ -252,7 +210,7 @@ def _fit_dict(fit) -> dict:
 
 
 def cmd_tail(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     n_grid = geometric_grid(args.n_min, args.n_max, args.per_decade)
     if args.mode == "semi":
         t = semi_analytic_tail(
@@ -264,7 +222,7 @@ def cmd_tail(args) -> int:
             cfg.perturbation,
             cfg.density,
             N=args.N,
-            seed=cfg.seed,
+            seed=args.seed if args.seed is not None else cfg.seed,
             n_grid=n_grid,
             zeta0=cfg.rect.zeta0,
             jobs=args.jobs,
@@ -273,8 +231,7 @@ def cmd_tail(args) -> int:
     fit_lo = args.fit_lo if args.fit_lo is not None else max(args.n_max // 100, 1)
     fit_hi = args.fit_hi if args.fit_hi is not None else args.n_max
     fit = fit_regvar(t, (fit_lo, fit_hi))
-    fmt = _format(args, cfg, "csv")
-    if fmt == "csv":
+    if args.format == "csv":
         comments = [
             "mode=" + args.mode,
             "fit " + " ".join(f"{k}={v!r}" for k, v in sorted(_fit_dict(fit).items())),
@@ -304,12 +261,12 @@ def cmd_tail(args) -> int:
                 "fit": _fit_dict(fit),
             },
         )
-    _emit(text, _out_path(args, cfg))
+    _emit(text, args.out)
     return 0
 
 
 def cmd_renewal(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     N = args.N
     t = semi_analytic_tail(
         cfg.params,
@@ -324,8 +281,7 @@ def cmd_renewal(args) -> int:
     mc = mixing_coeffs(tc.C0, tc.beta)
     n = np.arange(1, N + 1, dtype=float)
     scaled = n ** (1.0 - mc.beta) * rs.u[1:]
-    fmt = _format(args, cfg, "csv")
-    if fmt == "csv":
+    if args.format == "csv":
         comments = [
             f"beta={mc.beta!r} d0={mc.d0!r} q={mc.q} C0={tc.C0!r}",
         ]
@@ -349,7 +305,7 @@ def cmd_renewal(args) -> int:
                 "scaled_u": scaled,
             },
         )
-    _emit(text, _out_path(args, cfg))
+    _emit(text, args.out)
     return 0
 
 
@@ -382,44 +338,59 @@ def cmd_verify(args) -> int:
         line = f"criterion {r.cid:02d} {'PASS' if r.passed else 'FAIL'} {r.name}"
         print(line, file=sys.stderr)
     text = verify_mod.render_report(results, seed=seed, config_sha256=cfg.sha256)
-    _emit(text, _out_path(args, cfg))
+    _emit(text, args.out)
     return 0 if all(r.passed for r in results) else 1
 
 
-def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument("--format", choices=("csv", "json"), help="table format")
-    common.add_argument("--jobs", type=int, default=1, help="worker threads")
+def _seed(text: str) -> int:
+    """A --seed value; numpy seed sequences take only integers >= 0."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
+
+def _add_command(sub, name, func, summary, *, table=False, seeded=False, builtin=False):
+    """A subparser with --config and --out; --format for the commands that
+    print a table, --seed and --jobs for those that read them."""
+    sp = sub.add_parser(name, help=summary)
+    sp.add_argument("--config", required=not builtin, help="JSON run configuration")
+    sp.add_argument("--out", help="write the report here instead of stdout")
+    if table:
+        sp.add_argument(
+            "--format", choices=("csv", "json"), default="csv", help="table format"
+        )
+    if seeded:
+        sp.add_argument("--seed", type=_seed, help="override the config seed")
+        sp.add_argument("--jobs", type=int, default=1, help="worker threads")
+    sp.set_defaults(func=func)
+    return sp
+
+
+def _build_parser() -> _Parser:
     top = _Parser(prog="saddletail", description=__doc__.splitlines()[0])
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("derive", parents=[common], help="constants report")
-    sp.set_defaults(func=cmd_derive)
+    _add_command(sub, "derive", cmd_derive, "constants report")
 
-    sp = sub.add_parser("flow", parents=[common], help="integrate one orbit")
+    sp = _add_command(sub, "flow", cmd_flow, "integrate one orbit", table=True)
     sp.add_argument("--x0", type=float, required=True)
     sp.add_argument("--y0", type=float, required=True)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--record", action="store_true", help="emit the trajectory")
-    sp.set_defaults(func=cmd_flow)
 
-    sp = sub.add_parser(
-        "exit-time", parents=[common], help="passage times, forward or inverse"
+    sp = _add_command(
+        sub, "exit-time", cmd_exit_time, "passage times, forward or inverse", table=True
     )
     sp.add_argument("--eta", type=float, help="entry height (default: rect eta0)")
     sp.add_argument("--xi", type=float, nargs="+", help="forward mode abscissae")
     sp.add_argument("--T", type=float, nargs="+", help="inverse mode times")
-    sp.set_defaults(func=cmd_exit_time)
 
-    sp = sub.add_parser("asymptotics", parents=[common], help="coefficient report")
-    sp.set_defaults(func=cmd_asymptotics)
+    _add_command(sub, "asymptotics", cmd_asymptotics, "coefficient report")
 
-    sp = sub.add_parser("tail", parents=[common], help="exceedance table and fit")
+    sp = _add_command(
+        sub, "tail", cmd_tail, "exceedance table and fit", table=True, seeded=True
+    )
     sp.add_argument("--mode", choices=("semi", "mc"), default="semi")
     sp.add_argument("--N", type=int, default=100_000, help="Monte Carlo samples")
     sp.add_argument("--n-min", type=int, default=1)
@@ -427,15 +398,14 @@ def _build_parser() -> _Parser:
     sp.add_argument("--per-decade", type=int, default=32)
     sp.add_argument("--fit-lo", type=int)
     sp.add_argument("--fit-hi", type=int)
-    sp.set_defaults(func=cmd_tail)
 
-    sp = sub.add_parser("renewal", parents=[common], help="renewal shadow table")
+    sp = _add_command(sub, "renewal", cmd_renewal, "renewal shadow table", table=True)
     sp.add_argument("--N", type=int, default=30_000)
-    sp.set_defaults(func=cmd_renewal)
 
-    sp = sub.add_parser("verify", parents=[common], help="acceptance gates")
+    sp = _add_command(
+        sub, "verify", cmd_verify, "acceptance gates", seeded=True, builtin=True
+    )
     sp.add_argument("--criteria", help="comma-separated criterion ids (default all)")
-    sp.set_defaults(func=cmd_verify)
     return top
 
 
@@ -453,12 +423,12 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config parse error: {exc}", file=sys.stderr)
         return 1
-    except _NUMERICAL as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except _VALIDATION as exc:
+    except _INPUT_ERRORS as exc:
         print(f"validation error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except SaddleTailError as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

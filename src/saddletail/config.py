@@ -10,8 +10,11 @@ Optional keys:
     perturbation     {"px": [[i, j, c], ...], "py": [...]} (bracket terms,
                       each of total degree kappa + 1)
     integrator       {"rel_tol", "abs_tol", "max_step", "max_steps", "bbox"}
+                     (absent: each routine keeps its own default tolerances)
     seed             64-bit integer
-    output           {"path": str, "format": "csv" | "json"}
+
+Where a report goes and in which format are command-line flags, not
+config keys.
 
 Unknown keys anywhere are rejected with the offending name; that is the
 only schema leniency policy.  Malformed JSON raises json.JSONDecodeError
@@ -43,12 +46,10 @@ _TOP_KEYS = {
     "perturbation",
     "integrator",
     "seed",
-    "output",
 }
 _DENSITY_KEYS = {"eta_range", "h_coeffs", "weight"}
 _PERT_KEYS = {"px", "py"}
 _INTEGRATOR_KEYS = {"rel_tol", "abs_tol", "max_step", "max_steps", "bbox"}
-_OUTPUT_KEYS = {"path", "format"}
 
 
 @dataclass(frozen=True)
@@ -59,20 +60,30 @@ class RunConfig:
     rect: DomainRect
     density: EntryDensity
     perturbation: Perturbation | None
-    integrator: IntegratorConfig
+    integrator: IntegratorConfig | None
     seed: int | None
-    out_path: str | None
-    out_format: str | None
     sha256: str
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _is_list_of(val, pred) -> bool:
+    return isinstance(val, list) and all(map(pred, val))
+
+
+def _is_poly(val) -> bool:
+    """Polynomial coefficients: a number or a flat list of numbers."""
+    return _is_number(val) or _is_list_of(val, _is_number)
 
 
 def _require_number(raw: dict, key: str, source: str) -> float:
     if key not in raw:
         raise ConfigError(f"{source}: missing required key '{key}'")
-    val = raw[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if not _is_number(raw[key]):
         raise ConfigError(f"{source}: key '{key}' must be a number")
-    return float(val)
+    return float(raw[key])
 
 
 def _check_keys(raw: dict, allowed: set, where: str, source: str) -> None:
@@ -125,8 +136,8 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
     if codes:
         raise ConfigError(f"{source}: invalid parameters: {', '.join(codes)}")
 
-    zeta0 = float(raw["zeta0"]) if "zeta0" in raw else None
-    eta0 = float(raw["eta0"]) if "eta0" in raw else None
+    zeta0 = _require_number(raw, "zeta0", source) if "zeta0" in raw else None
+    eta0 = _require_number(raw, "eta0", source) if "eta0" in raw else None
     rect = make_rect(params, zeta0=zeta0, eta0=eta0)
 
     if "density" in raw:
@@ -138,9 +149,15 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
             raise ConfigError(
                 f"{source}: 'density' needs both 'h_coeffs' and 'weight'"
             )
-        eta_range = tuple(dd.get("eta_range", (rect.eta0, rect.eta1)))
+        eta_range = dd.get("eta_range", [rect.eta0, rect.eta1])
+        if not (_is_list_of(eta_range, _is_number) and len(eta_range) == 2):
+            raise ConfigError(f"{source}: 'eta_range' must be a pair of numbers")
+        if not _is_list_of(dd["h_coeffs"], _is_poly):
+            raise ConfigError(f"{source}: 'h_coeffs' must be a list of number lists")
+        if not _is_poly(dd["weight"]):
+            raise ConfigError(f"{source}: 'weight' must be a list of numbers")
         density = make_density(
-            eta_range, dd["h_coeffs"], dd["weight"], kappa=params.kappa
+            tuple(eta_range), dd["h_coeffs"], dd["weight"], kappa=params.kappa
         )
     else:
         density = uniform_density((rect.eta0, rect.eta1), params.kappa)
@@ -164,29 +181,17 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
         if not isinstance(ii, dict):
             raise ConfigError(f"{source}: 'integrator' must be an object")
         _check_keys(ii, _INTEGRATOR_KEYS, "'integrator'", source)
-        integrator = IntegratorConfig(**{k: ii[k] for k in ii})
+        for key in ii:
+            _require_number(ii, key, source)
+        integrator = IntegratorConfig(**ii)
     else:
-        integrator = IntegratorConfig()
+        integrator = None
 
     seed = raw.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ConfigError(f"{source}: 'seed' must be an integer")
-
-    out_path = None
-    out_format = None
-    if "output" in raw:
-        oo = raw["output"]
-        if not isinstance(oo, dict):
-            raise ConfigError(f"{source}: 'output' must be an object")
-        _check_keys(oo, _OUTPUT_KEYS, "'output'", source)
-        out_path = oo.get("path")
-        if out_path is not None and not isinstance(out_path, str):
-            raise ConfigError(f"{source}: 'output.path' must be a string")
-        out_format = oo.get("format")
-        if out_format is not None and out_format not in ("csv", "json"):
-            raise ConfigError(
-                f"{source}: 'output.format' must be 'csv' or 'json'"
-            )
+    if seed is not None and (
+        isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
+    ):
+        raise ConfigError(f"{source}: 'seed' must be an integer >= 0")
 
     digest = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
@@ -198,8 +203,6 @@ def parse_config(raw: dict, source: str = "<config>") -> RunConfig:
         perturbation=pert,
         integrator=integrator,
         seed=seed,
-        out_path=out_path,
-        out_format=out_format,
         sha256=digest,
     )
 

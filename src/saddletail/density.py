@@ -21,6 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from ._numerics import solve_increasing
+from .errors import InvalidInput
 
 __all__ = ["EntryDensity", "uniform_density"]
 
@@ -122,26 +123,26 @@ def make_density(
     """
     lo, hi = float(eta_range[0]), float(eta_range[1])
     if not (0.0 < lo < hi):
-        raise ValueError("entry range must satisfy 0 < lo < hi")
+        raise InvalidInput("entry range must satisfy 0 < lo < hi")
     coeffs = tuple(np.asarray(c, dtype=float).ravel() for c in h_coeffs)
     if len(coeffs) != kappa:
-        raise ValueError(f"need exactly kappa={kappa} coefficient functions")
+        raise InvalidInput(f"need exactly kappa={kappa} coefficient functions")
     for j, c in enumerate(coeffs):
         if c.size == 0 or not np.all(np.isfinite(c)):
-            raise ValueError(f"coefficient function h_{j} is empty or non-finite")
+            raise InvalidInput(f"coefficient function h_{j} is empty or non-finite")
     w = np.asarray(weight, dtype=float).ravel()
     if w.size == 0 or not np.all(np.isfinite(w)):
-        raise ValueError("weight polynomial is empty or non-finite")
+        raise InvalidInput("weight polynomial is empty or non-finite")
     grid = np.linspace(lo, hi, _GRID)
     wv = npoly.polyval(grid, w)
     if np.any(wv < -1e-12 * max(1.0, np.max(np.abs(wv)))):
-        raise ValueError("weight must be nonnegative on the entry range")
+        raise InvalidInput("weight must be nonnegative on the entry range")
     mass = _poly_integral(w, lo, hi)
     if mass <= 0.0:
-        raise ValueError("weight must have positive mass on the entry range")
+        raise InvalidInput("weight must have positive mass on the entry range")
     h0 = npoly.polyval(grid, coeffs[0])
     if np.any(h0 <= 0.0):
-        raise ValueError("h_0 must be strictly positive on the entry range")
+        raise InvalidInput("h_0 must be strictly positive on the entry range")
     return EntryDensity(
         eta_range=(lo, hi), h_coeffs=coeffs, weight=w / mass
     )

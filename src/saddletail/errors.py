@@ -1,8 +1,11 @@
 """Exception hierarchy.
 
 Everything raised on purpose by this package derives from SaddleTailError,
-so callers can distinguish our failures from plain bugs.  The CLI maps
-ConfigError/DegenerateDelta to exit code 2 and the numerical failures to 3.
+so callers can distinguish our failures from plain bugs.  InvalidInput,
+for arguments that fail a documented check, is also a ValueError.  The CLI
+maps the input errors (ConfigError, DegenerateDelta, SeedRequired,
+BetaOutOfRange, InvalidInput) to exit code 2 and every other
+SaddleTailError to 3; anything else is a bug and propagates.
 """
 
 
@@ -12,6 +15,10 @@ class SaddleTailError(Exception):
 
 class ConfigError(SaddleTailError):
     """Bad or inconsistent run configuration."""
+
+
+class InvalidInput(SaddleTailError, ValueError):
+    """An argument fails a documented check (range, shape, finiteness)."""
 
 
 class DegenerateDelta(SaddleTailError):

@@ -31,7 +31,7 @@ from scipy.integrate import quad
 
 from . import _rk45
 from ._reduction import kernel_for
-from .errors import DiagonalNotReached, LeftDomain, StepLimitExceeded
+from .errors import DiagonalNotReached, InvalidInput, LeftDomain, StepLimitExceeded
 from .params import SaddleParams, derive_constants
 
 __all__ = [
@@ -104,13 +104,13 @@ class Perturbation:
         for name, terms in (("px", self.px), ("py", self.py)):
             for i, j, c in terms:
                 if i < 0 or j < 0:
-                    raise ValueError(f"{name} term ({i},{j}) has a negative exponent")
+                    raise InvalidInput(f"{name} term ({i},{j}) has a negative exponent")
                 if i + j != deg:
-                    raise ValueError(
+                    raise InvalidInput(
                         f"{name} term ({i},{j}) has degree {i + j}, expected {deg}"
                     )
                 if not math.isfinite(c):
-                    raise ValueError(f"{name} coefficient for ({i},{j}) is not finite")
+                    raise InvalidInput(f"{name} coefficient for ({i},{j}) is not finite")
 
 
 @dataclass(frozen=True)
@@ -127,13 +127,13 @@ class IntegratorConfig:
         for name in ("rel_tol", "abs_tol"):
             val = getattr(self, name)
             if not (1e-15 <= val <= 1e-3):
-                raise ValueError(f"{name} must lie in [1e-15, 1e-3], got {val}")
+                raise InvalidInput(f"{name} must lie in [1e-15, 1e-3], got {val}")
         if self.max_step <= 0.0:
-            raise ValueError("max_step must be positive")
+            raise InvalidInput("max_step must be positive")
         if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+            raise InvalidInput("max_steps must be at least 1")
         if self.bbox <= 0.0:
-            raise ValueError("bbox must be positive")
+            raise InvalidInput("bbox must be positive")
 
 
 @dataclass(frozen=True)
@@ -226,11 +226,11 @@ def _as_block(z) -> tuple[np.ndarray, bool]:
     arr = np.asarray(z, dtype=float)
     if arr.ndim == 1:
         if arr.shape != (2,):
-            raise ValueError("a state must have exactly two coordinates")
+            raise InvalidInput("a state must have exactly two coordinates")
         return arr[None, :].copy(), True
     if arr.ndim == 2 and arr.shape[1] == 2:
         return arr.copy(), False
-    raise ValueError("states must be a pair or an (n, 2) array")
+    raise InvalidInput("states must be a pair or an (n, 2) array")
 
 
 def eval_field(p: SaddleParams, z, pert: Perturbation | None = None):
@@ -244,11 +244,11 @@ def eval_field(p: SaddleParams, z, pert: Perturbation | None = None):
 
 def _check_start(block: np.ndarray, bbox: float) -> None:
     if not np.isfinite(block).all():
-        raise ValueError("initial states must be finite")
+        raise InvalidInput("initial states must be finite")
     if np.any(block < 0.0):
-        raise ValueError("initial states must lie in the closed positive quadrant")
+        raise InvalidInput("initial states must lie in the closed positive quadrant")
     if np.any(block > bbox):
-        raise ValueError(f"initial states must lie within [0, {bbox}]^2")
+        raise InvalidInput(f"initial states must lie within [0, {bbox}]^2")
 
 
 def flow(
@@ -272,10 +272,10 @@ def flow(
     block, single = _as_block(z0)
     _check_start(block, cfg.bbox)
     if record and not single:
-        raise ValueError("record=True needs a single initial state")
+        raise InvalidInput("record=True needs a single initial state")
     t = float(t)
     if not math.isfinite(t):
-        raise ValueError(f"flow time must be finite, got {t}")
+        raise InvalidInput(f"flow time must be finite, got {t}")
     if t == 0.0:
         out = block.copy()
         if record:
@@ -328,7 +328,7 @@ def axis_coefficient_probe(
     coefficients it was built from.
     """
     if not 0.0 < x0:
-        raise ValueError("probe abscissa must be positive")
+        raise InvalidInput("probe abscissa must be positive")
     z1 = flow(p, (float(x0), 0.0), 1.0, cfg=cfg)
     return (z1.x / x0 - 1.0) / x0**p.kappa
 
@@ -377,7 +377,7 @@ def perturbed_first_integral(
         pert.validate_for(p.kappa)
     block, single = _as_block(z)
     if not single:
-        raise ValueError("perturbed_first_integral takes a single state")
+        raise InvalidInput("perturbed_first_integral takes a single state")
     x0, y0 = float(block[0, 0]), float(block[0, 1])
     if x0 == 0.0 or y0 == 0.0:
         return 0.0
@@ -444,16 +444,14 @@ def compute_G(p: SaddleParams, xi, eta):
 
 def _check_section_args(xi: float, eta: float, zeta0: float) -> None:
     if not 0.0 < zeta0:
-        raise ValueError("section abscissa zeta0 must be positive")
+        raise InvalidInput("section abscissa zeta0 must be positive")
     if not 0.0 < xi <= zeta0:
-        raise ValueError("entry abscissa must satisfy 0 < xi <= zeta0")
+        raise InvalidInput("entry abscissa must satisfy 0 < xi <= zeta0")
     if not 0.0 < eta:
-        raise ValueError("entry height must be positive")
+        raise InvalidInput("entry height must be positive")
 
 
-def exit_time_quadrature(
-    p: SaddleParams, xi: float, eta: float, zeta0: float, *, epsrel: float = 1e-12
-) -> float:
+def exit_time_quadrature(p: SaddleParams, xi: float, eta: float, zeta0: float) -> float:
     """Passage time to x = zeta0 via the reduced integral, adaptively.
 
     Solves for the exit height, then integrates the reduced density in
@@ -473,7 +471,7 @@ def exit_time_quadrature(
         s_a,
         s_b,
         epsabs=0.0,
-        epsrel=epsrel,
+        epsrel=1e-12,
         limit=500,
     )
     return val / float(compute_G(p, xi, eta))

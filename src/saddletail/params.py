@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DegenerateDelta
+from .errors import DegenerateDelta, InvalidInput
 
 __all__ = [
     "SaddleParams",
@@ -127,24 +127,19 @@ def validate(p: SaddleParams, permissive: bool = False) -> list[str]:
     return bad
 
 
-def derive_constants(
-    p: SaddleParams,
-    *,
-    delta_tol: float = DELTA_TOL,
-    permissive: bool = False,
-) -> DerivedConstants:
+def derive_constants(p: SaddleParams, *, permissive: bool = False) -> DerivedConstants:
     """Compute DerivedConstants, raising on an unusable parameter set.
 
-    Raises DegenerateDelta when |a2*b0 - a0*b2| <= delta_tol and ValueError
+    Raises DegenerateDelta when |a2*b0 - a0*b2| <= DELTA_TOL and InvalidInput
     for any other violation reported by validate().
     """
     codes = validate(p, permissive=permissive)
-    if DEGENERATE_DELTA in codes or abs(p.delta) <= delta_tol:
+    if DEGENERATE_DELTA in codes:
         raise DegenerateDelta(
-            f"a2*b0 - a0*b2 = {p.delta!r} is within {delta_tol} of zero"
+            f"a2*b0 - a0*b2 = {p.delta!r} is within {DELTA_TOL} of zero"
         )
     if codes:
-        raise ValueError(f"invalid saddle parameters: {', '.join(codes)}")
+        raise InvalidInput(f"invalid saddle parameters: {', '.join(codes)}")
 
     k = float(p.kappa)
     delta = p.delta
@@ -200,7 +195,7 @@ def rescale(p: SaddleParams, r: float, s: float) -> SaddleParams:
     check; the raw coefficients of course are not.
     """
     if r <= 0.0 or s <= 0.0:
-        raise ValueError("rescale factors must be positive")
+        raise InvalidInput("rescale factors must be positive")
     k = p.kappa
     return SaddleParams(
         a0=p.a0 * r**k,
@@ -238,11 +233,11 @@ def make_rect(
     if eta0 is None:
         eta0 = default_section(p)
     if zeta0 <= 0.0 or eta0 <= 0.0:
-        raise ValueError("zeta0 and eta0 must be positive")
+        raise InvalidInput("zeta0 and eta0 must be positive")
     k = p.kappa
     gap = eta0 ** (-k) - k * p.b2
     if gap <= 0.0:
-        raise ValueError(
+        raise InvalidInput(
             f"eta0 = {eta0} too large: eta0^-kappa must exceed kappa*b2 = {k * p.b2}"
         )
     eta1 = gap ** (-1.0 / k)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BetaOutOfRange, IllConditioned, NonMonotoneInput
+from .errors import BetaOutOfRange, IllConditioned, InvalidInput, NonMonotoneInput
 from .tails import TailTable
 
 __all__ = [
@@ -67,9 +67,9 @@ def return_distribution(t: TailTable) -> np.ndarray:
     """
     n = t.n_grid
     if np.any(np.diff(n) != 1):
-        raise ValueError("return_distribution needs a contiguous integer grid")
+        raise InvalidInput("return_distribution needs a contiguous integer grid")
     if n[0] not in (0, 1):
-        raise ValueError("grid must start at n = 0 or n = 1")
+        raise InvalidInput("grid must start at n = 0 or n = 1")
     mass = t.mass[1:] if n[0] == 0 else t.mass
     p = np.concatenate(([1.0], mass[:-1])) - mass
     if np.any(p < 0.0):
@@ -85,13 +85,13 @@ def renewal_sequence(p, N: int) -> RenewalSequence:
     """
     p = np.asarray(p, dtype=float)
     if N < 1:
-        raise ValueError("N must be at least 1")
+        raise InvalidInput("N must be at least 1")
     if len(p) < N:
-        raise ValueError(f"p must be defined up to N={N}, got {len(p)} terms")
+        raise InvalidInput(f"p must be defined up to N={N}, got {len(p)} terms")
     if np.any(p < 0.0):
-        raise ValueError("return masses must be nonnegative")
+        raise InvalidInput("return masses must be nonnegative")
     if p.sum() > 1.0 + 1e-9:
-        raise ValueError("return masses must sum to at most 1")
+        raise InvalidInput("return masses must sum to at most 1")
     p = p[:N]
     p_rev = np.ascontiguousarray(p[::-1])
     u = np.empty(N + 1)
@@ -112,7 +112,7 @@ def mixing_coeffs(C0: float, beta: float) -> MixingCoeffs:
     if not 0.0 < beta < 1.0:
         raise BetaOutOfRange(f"beta must lie in (0, 1), got {beta}")
     if C0 <= 0.0:
-        raise ValueError("C0 must be positive")
+        raise InvalidInput("C0 must be positive")
     d0 = math.sin(math.pi * beta) / (math.pi * C0)
     q = 0
     j = 1
@@ -134,12 +134,12 @@ def fit_higher_order(u, mc: MixingCoeffs, fit_range: tuple[int, int]) -> MixingC
         u = u.u
     u = np.asarray(u, dtype=float)
     if mc.q < 1:
-        raise ValueError("no next-order terms to fit (q = 0)")
+        raise InvalidInput("no next-order terms to fit (q = 0)")
     lo, hi = int(fit_range[0]), int(fit_range[1])
     if not (1 <= lo < hi):
-        raise ValueError("fit range must satisfy 1 <= lo < hi")
+        raise InvalidInput("fit range must satisfy 1 <= lo < hi")
     if hi >= len(u):
-        raise ValueError("u must be computed beyond the fit range")
+        raise InvalidInput("u must be computed beyond the fit range")
     n = np.arange(lo, hi + 1, dtype=float)
     target = u[lo : hi + 1] - mc.d0 * n ** (mc.beta - 1.0)
     A = np.column_stack(
@@ -162,7 +162,7 @@ def correlation_prediction(mc: MixingCoeffs, n):
     """Evaluate the decay bracket d0*n^(beta-1) + sum_k d_k*n^((k+1)(beta-1))."""
     n_arr = np.asarray(n, dtype=float)
     if np.any(n_arr <= 0.0):
-        raise ValueError("n must be positive")
+        raise InvalidInput("n must be positive")
     out = mc.d0 * n_arr ** (mc.beta - 1.0)
     for k, dk in enumerate(mc.d_fit, start=1):
         out = out + dk * n_arr ** ((k + 1) * (mc.beta - 1.0))

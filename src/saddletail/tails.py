@@ -31,7 +31,13 @@ import numpy as np
 from ._numerics import gl_panels
 from ._reduction import kernel_for
 from .density import EntryDensity
-from .errors import InsufficientData, NonMonotoneInput, NotConverged, SeedRequired
+from .errors import (
+    InsufficientData,
+    InvalidInput,
+    NonMonotoneInput,
+    NotConverged,
+    SeedRequired,
+)
 from .flow import IntegratorConfig, Perturbation, _exit_times_batch
 from .params import SaddleParams, default_section
 
@@ -71,21 +77,21 @@ class TailTable:
         n = np.asarray(self.n_grid, dtype=np.int64)
         m = np.asarray(self.mass, dtype=float)
         if n.ndim != 1 or m.shape != n.shape:
-            raise ValueError("n_grid and mass must be matching 1-d arrays")
+            raise InvalidInput("n_grid and mass must be matching 1-d arrays")
         if n.size == 0:
-            raise ValueError("empty tail table")
+            raise InvalidInput("empty tail table")
         if np.any(n < 0) or np.any(np.diff(n) <= 0):
-            raise ValueError("n_grid must be ascending nonnegative integers")
+            raise InvalidInput("n_grid must be ascending nonnegative integers")
         if np.any(m < 0.0) or np.any(m > 1.0):
-            raise ValueError("tail masses must lie in [0, 1]")
+            raise InvalidInput("tail masses must lie in [0, 1]")
         if np.any(np.diff(m) > 1e-12):
-            raise ValueError("tail masses must be non-increasing in n")
+            raise InvalidInput("tail masses must be non-increasing in n")
         object.__setattr__(self, "n_grid", n)
         object.__setattr__(self, "mass", m)
         if self.stderr is not None:
             s = np.asarray(self.stderr, dtype=float)
             if s.shape != n.shape or np.any(s < 0.0):
-                raise ValueError("stderr must be nonnegative and match the grid")
+                raise InvalidInput("stderr must be nonnegative and match the grid")
             object.__setattr__(self, "stderr", s)
 
 
@@ -104,9 +110,9 @@ class RegVarFit:
 def geometric_grid(n_min: int = 1, n_max: int = 100_000, per_decade: int = 32):
     """Ascending integer grid, geometrically spaced, duplicates dropped."""
     if not (1 <= n_min < n_max):
-        raise ValueError("need 1 <= n_min < n_max")
+        raise InvalidInput("need 1 <= n_min < n_max")
     if per_decade < 1:
-        raise ValueError("per_decade must be at least 1")
+        raise InvalidInput("per_decade must be at least 1")
     count = int(math.ceil(math.log10(n_max / n_min) * per_decade)) + 1
     vals = np.unique(
         np.rint(np.geomspace(n_min, n_max, count)).astype(np.int64)
@@ -167,12 +173,12 @@ def semi_analytic_tail(
     than _MAX_REPAIR relative.
     """
     if density is None or n_grid is None:
-        raise ValueError("density and n_grid are required")
+        raise InvalidInput("density and n_grid are required")
     if zeta0 is None:
         zeta0 = default_section(p)
     n = np.asarray(n_grid, dtype=np.int64)
     if n.ndim != 1 or n.size == 0 or np.any(n < 0) or np.any(np.diff(n) <= 0):
-        raise ValueError("n_grid must be ascending nonnegative integers")
+        raise InvalidInput("n_grid must be ascending nonnegative integers")
     ker = kernel_for(p)
     lo, hi = density.eta_range
     n_pos = n[n >= 1]
@@ -281,7 +287,6 @@ def monte_carlo_tail(
     *,
     zeta0: float | None = None,
     jobs: int = 1,
-    method: str | None = None,
     cfg: IntegratorConfig | None = None,
 ) -> TailTable:
     """Monte Carlo tail masses over the entry strip.
@@ -296,29 +301,26 @@ def monte_carlo_tail(
     whole strip mass.  The reported stderr is the weighted binomial one.
 
     Exit times come from the reduced quadrature when the perturbation is
-    empty and from field integration (censored at max(n_grid) + 1)
-    otherwise; pass method="flow" to force integration.  Work is split
-    into fixed 65536-sample blocks with RNG substreams seeded by
-    (seed, block index) and merged in block order, so results are
-    bit-identical for any jobs count.
+    empty and from field integration (censored at max(n_grid) + 1, at
+    _MC_FLOW_CFG unless cfg is given) otherwise.  Work is split into fixed
+    65536-sample blocks with RNG substreams seeded by (seed, block index)
+    and merged in block order, so results are bit-identical for any jobs
+    count.
     """
     if density is None or N is None or n_grid is None:
-        raise ValueError("density, N, and n_grid are required")
+        raise InvalidInput("density, N, and n_grid are required")
     if seed is None:
         raise SeedRequired("monte_carlo_tail needs an explicit integer seed")
     if N < 1000:
-        raise ValueError("N must be at least 1000")
+        raise InvalidInput("N must be at least 1000")
     if zeta0 is None:
         zeta0 = default_section(p)
     n_arr = np.asarray(n_grid, dtype=np.int64)
     if n_arr.ndim != 1 or n_arr.size == 0 or np.any(np.diff(n_arr) <= 0):
-        raise ValueError("n_grid must be ascending")
+        raise InvalidInput("n_grid must be ascending")
     if np.any(n_arr < 0):
-        raise ValueError("n_grid must be nonnegative")
-    if method is None:
-        method = "quadrature" if pert is None or pert.is_zero else "flow"
-    if method not in ("quadrature", "flow"):
-        raise ValueError("method must be 'quadrature' or 'flow'")
+        raise InvalidInput("n_grid must be nonnegative")
+    method = "quadrature" if pert is None or pert.is_zero else "flow"
     if method == "flow" and cfg is None:
         cfg = _MC_FLOW_CFG
     censor = float(n_arr[-1] + 1)
@@ -398,7 +400,7 @@ def small_tail(t: TailTable) -> np.ndarray:
     back to mass[0] - mass[-1] exactly.
     """
     if np.any(np.diff(t.n_grid) != 1):
-        raise ValueError("small_tail needs a contiguous integer grid")
+        raise InvalidInput("small_tail needs a contiguous integer grid")
     diffs = t.mass[:-1] - t.mass[1:]
     if np.any(diffs < 0.0):
         raise NonMonotoneInput("tail table mass increases somewhere")

@@ -24,6 +24,7 @@ from . import __version__
 from ._reduction import kernel_for
 from .asymptotics import coeffs, invert_exit_time, m_integral, tail_coeffs, tail_expansion
 from .density import uniform_density
+from .errors import InvalidInput
 from .flow import (
     IntegratorConfig,
     Perturbation,
@@ -428,7 +429,7 @@ def run(ids=None, seed: int = DEFAULT_SEED, jobs: int = 1) -> list[CriterionResu
     out = []
     for cid in sorted(set(int(i) for i in ids)):
         if cid not in REGISTRY:
-            raise ValueError(f"unknown criterion id {cid}")
+            raise InvalidInput(f"unknown criterion id {cid}")
         out.append(REGISTRY[cid](seed=seed, jobs=jobs))
     return out
 

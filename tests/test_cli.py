@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from saddletail import __version__, cli, tails
+from saddletail.config import load_config
 from saddletail.flow import flow
 from saddletail.params import SaddleParams
 
@@ -45,6 +46,33 @@ def test_missing_config_is_usage_error(capsys):
 
 def test_unknown_subcommand(capsys):
     assert run_cli("frobnicate") == 1
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("derive", ("--format", "csv")),
+        ("asymptotics", ("--jobs", "2")),
+        ("verify", ("--format", "csv")),
+        ("renewal", ("--seed", "1")),
+        ("flow", ("--x0", "0.1", "--y0", "0.3", "--t", "1", "--jobs", "2")),
+        ("exit-time", ("--T", "10", "--seed", "1")),
+        ("verify", ("--criteria", "1", "--seed", "-1")),
+    ],
+)
+def test_bad_option_is_usage_error(config_path, capsys, command, option):
+    # options a subcommand does not read, and a seed numpy cannot take
+    assert run_cli(command, "--config", config_path, *option) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_plain_value_error_is_a_bug(config_path, monkeypatch):
+    def fail(p):
+        raise ValueError("not raised on purpose")
+
+    monkeypatch.setattr(cli, "derive_constants", fail)
+    with pytest.raises(ValueError, match="not raised on purpose"):
+        cli.main(["derive", "--config", config_path])
 
 
 def test_malformed_config_is_parse_error(tmp_path, capsys):
@@ -189,6 +217,12 @@ def test_exit_time_xi_out_of_range(config_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["--xi", "--T"])
+def test_exit_time_nan_exits_2(config_path, capsys, mode):
+    assert run_cli("exit-time", "--config", config_path, mode, "nan") == 2
+    assert "validation error: InvalidInput" in capsys.readouterr().err
+
+
 def test_tail_semi_fit(config_path, capsys):
     code = run_cli(
         "tail", "--config", config_path,
@@ -235,6 +269,31 @@ def test_tail_mc_deterministic(config_path, tmp_path):
         )
         assert code == 0
     assert out[0].read_bytes() == out[1].read_bytes()
+
+
+def test_tail_mc_default_integrator_is_the_library_default(tmp_path, capsys):
+    # no integrator section: the flow route keeps monte_carlo_tail's own
+    # tolerances rather than the single-orbit IntegratorConfig()
+    doc = dict(BASE, seed=5, perturbation={"px": [[1, 2, 0.1]], "py": [[2, 1, -0.1]]})
+    path = tmp_path / "pert.json"
+    path.write_text(json.dumps(doc))
+    code = run_cli(
+        "tail", "--config", str(path), "--mode", "mc",
+        "--N", "2000", "--n-min", "5", "--n-max", "50", "--per-decade", "8",
+        "--format", "json",
+    )
+    assert code == 0
+    table = json.loads(capsys.readouterr().out)["table"]
+    cfg = load_config(str(path))
+    assert cfg.integrator is None
+    ref = tails.monte_carlo_tail(
+        cfg.params, cfg.perturbation, cfg.density, N=2000, seed=5,
+        n_grid=tails.geometric_grid(5, 50, 8), zeta0=cfg.rect.zeta0,
+    )
+    assert table["n"] == ref.n_grid.tolist()
+    assert table["mass"] == ref.mass.tolist()
+    assert table["stderr"] == ref.stderr.tolist()
+    assert table["n_censored"] == ref.n_censored
 
 
 def test_renewal_report(config_path, capsys):

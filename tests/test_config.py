@@ -23,7 +23,7 @@ def test_minimal_config_fills_defaults():
     assert c.rect.eta1 == pytest.approx(0.5)
     assert c.perturbation is None
     assert c.seed is None
-    assert c.out_path is None and c.out_format is None
+    assert c.integrator is None  # routines keep their own tolerances
     assert c.density.eta_range == (c.rect.eta0, c.rect.eta1)
     assert len(c.sha256) == 64
 
@@ -56,6 +56,20 @@ def test_type_rejection():
         cfg(seed=1.5)
     with pytest.raises(ConfigError, match="top level"):
         parse_config([1, 2, 3])
+    with pytest.raises(ConfigError, match="'zeta0' must be a number"):
+        cfg(zeta0=[1])
+    with pytest.raises(ConfigError, match="'zeta0' must be a number"):
+        cfg(zeta0="abc")
+    with pytest.raises(ConfigError, match="'eta0' must be a number"):
+        cfg(eta0=None)
+    with pytest.raises(ConfigError, match="'rel_tol' must be a number"):
+        cfg(integrator={"rel_tol": "x"})
+    with pytest.raises(ConfigError, match="'max_steps' must be a number"):
+        cfg(integrator={"max_steps": True})
+    dens = {"h_coeffs": [[1.0], [0.0]], "weight": [1.0]}
+    for bad in (5, [0.3], [0.3, "x"], "ab"):
+        with pytest.raises(ConfigError, match="'eta_range' must be a pair"):
+            cfg(density=dict(dens, eta_range=bad))
 
 
 def test_invalid_parameters_rejected_at_parse():
@@ -105,12 +119,9 @@ def test_integrator_section():
 
 
 def test_output_section():
-    c = cfg(output={"path": "report.csv", "format": "csv"})
-    assert c.out_path == "report.csv" and c.out_format == "csv"
-    with pytest.raises(ConfigError, match="'csv' or 'json'"):
-        cfg(output={"format": "yaml"})
-    with pytest.raises(ConfigError, match="path"):
-        cfg(output={"path": 7})
+    # the report path and format are command-line flags only
+    with pytest.raises(ConfigError, match="unknown key 'output'"):
+        cfg(output={"path": "report.csv", "format": "csv"})
 
 
 def test_hash_is_canonical():
