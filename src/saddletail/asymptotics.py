@@ -59,10 +59,12 @@ def _swap(p: SaddleParams) -> SaddleParams:
 def m_integral(p: SaddleParams, orientation: str = "xi") -> float:
     """Full slope integral I = int_0^inf phi(M) dM for the given orientation.
 
-    "xi" integrates the reduced density of the field itself, "omega" that
-    of the time-reversed field.  The substitution M -> 1/M maps one onto
-    the other, so the two values agree identically; both code paths are
-    kept because downstream formulas are phrased per orientation.
+    I is the complete Beta integral c0^(-b) * c2^(-a) * B(a, b) / kappa,
+    read from the reduction kernel's I_inf.  "xi" takes it for the field
+    itself, "omega" for the time-reversed field, which swaps a with b and
+    c0 with c2.  The substitution M -> 1/M maps one onto the other, so the
+    two values agree to rounding; both are kept because downstream
+    formulas are phrased per orientation.
     """
     if orientation == "xi":
         return kernel_for(p).I_inf
@@ -97,7 +99,7 @@ def coeffs(
     omega1 = (beta0/k) S.  (Time reversal sends a0 -> b2 while also sending
     the section to the entry height, so the bracket is invariant.)  omega0
     is additionally recomputed from xi0 through the reversal identity;
-    disagreement beyond 1e-8 relative signals a broken quadrature and
+    disagreement beyond 1e-8 relative signals a broken slope integral and
     raises NotConverged.
     """
     if eta is None or zeta0 is None:

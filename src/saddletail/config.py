@@ -106,7 +106,7 @@ def _parse_terms(raw, name: str, source: str):
             raise ConfigError(f"{source}: '{name}' exponents must be integers")
         if not (isinstance(i, int) and isinstance(j, int)):
             raise ConfigError(f"{source}: '{name}' exponents must be integers")
-        if not isinstance(c, (int, float)):
+        if not _is_number(c):
             raise ConfigError(f"{source}: '{name}' coefficient must be a number")
         terms.append((i, j, float(c)))
     return terms

@@ -128,11 +128,13 @@ class IntegratorConfig:
             val = getattr(self, name)
             if not (1e-15 <= val <= 1e-3):
                 raise InvalidInput(f"{name} must lie in [1e-15, 1e-3], got {val}")
-        if self.max_step <= 0.0:
+        # written as not (x > 0) so that NaN fails them too
+        if not (self.max_step > 0.0):
             raise InvalidInput("max_step must be positive")
-        if self.max_steps < 1:
-            raise InvalidInput("max_steps must be at least 1")
-        if self.bbox <= 0.0:
+        steps = self.max_steps
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+            raise InvalidInput("max_steps must be an integer of at least 1")
+        if not (self.bbox > 0.0):
             raise InvalidInput("bbox must be positive")
 
 

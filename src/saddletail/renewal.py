@@ -88,6 +88,8 @@ def renewal_sequence(p, N: int) -> RenewalSequence:
         raise InvalidInput("N must be at least 1")
     if len(p) < N:
         raise InvalidInput(f"p must be defined up to N={N}, got {len(p)} terms")
+    if not np.all(np.isfinite(p)):
+        raise InvalidInput("return masses must be finite")
     if np.any(p < 0.0):
         raise InvalidInput("return masses must be nonnegative")
     if p.sum() > 1.0 + 1e-9:
@@ -111,8 +113,8 @@ def mixing_coeffs(C0: float, beta: float) -> MixingCoeffs:
     """
     if not 0.0 < beta < 1.0:
         raise BetaOutOfRange(f"beta must lie in (0, 1), got {beta}")
-    if C0 <= 0.0:
-        raise InvalidInput("C0 must be positive")
+    if not 0.0 < C0 < math.inf:
+        raise InvalidInput("C0 must be positive and finite")
     d0 = math.sin(math.pi * beta) / (math.pi * C0)
     q = 0
     j = 1

@@ -1,10 +1,11 @@
 """Config schema: parsing, defaults, rejection, and hashing."""
 import json
+import math
 
 import pytest
 
 from saddletail.config import load_config, parse_config
-from saddletail.errors import ConfigError, DegenerateDelta
+from saddletail.errors import ConfigError, DegenerateDelta, InvalidInput
 from saddletail.flow import Perturbation
 
 BASE = {"a0": 1.0, "a2": 1.0, "b0": 1.0, "b2": 2.0, "kappa": 2}
@@ -66,6 +67,14 @@ def test_type_rejection():
         cfg(integrator={"rel_tol": "x"})
     with pytest.raises(ConfigError, match="'max_steps' must be a number"):
         cfg(integrator={"max_steps": True})
+    with pytest.raises(InvalidInput, match="max_step must be positive"):
+        cfg(integrator={"max_step": math.nan})
+    with pytest.raises(InvalidInput, match="bbox must be positive"):
+        cfg(integrator={"bbox": math.nan})
+    with pytest.raises(InvalidInput, match="max_steps must be an integer"):
+        cfg(integrator={"max_steps": 1.5})
+    with pytest.raises(ConfigError, match="'px' coefficient must be a number"):
+        cfg(perturbation={"px": [[1, 2, True]]})
     dens = {"h_coeffs": [[1.0], [0.0]], "weight": [1.0]}
     for bad in (5, [0.3], [0.3, "x"], "ab"):
         with pytest.raises(ConfigError, match="'eta_range' must be a pair"):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from saddletail.errors import LeftDomain, StepLimitExceeded
+from saddletail.errors import InvalidInput, LeftDomain, StepLimitExceeded
 from saddletail.flow import (
     IntegratorConfig,
     Perturbation,
@@ -139,6 +139,24 @@ def test_flow_rejects_non_finite_input(z0, t):
     if math.isfinite(t):
         with pytest.raises(ValueError):
             perturbed_first_integral(P2, None, z0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_step", math.nan),
+        ("max_step", 0.0),
+        ("bbox", math.nan),
+        ("bbox", -1.0),
+        ("max_steps", 1.5),
+        ("max_steps", True),
+        ("max_steps", 0),
+        ("rel_tol", math.nan),
+    ],
+)
+def test_integrator_config_rejects(field, value):
+    with pytest.raises(InvalidInput, match=field):
+        IntegratorConfig(**{field: value})
 
 
 def test_step_budget_raises():

@@ -1,4 +1,7 @@
 """Reduced one-dimensional kernel: levels, exit heights, and inversion."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -6,11 +9,28 @@ from hypothesis import strategies as st
 
 from saddletail import _reduction
 from saddletail._reduction import ReductionKernel, kernel_for
+from saddletail.asymptotics import m_integral
 from saddletail.errors import BracketFailure, NotConverged
 from saddletail.params import SaddleParams, make_rect
 
 P1 = SaddleParams(1.0, 3.0, 2.0, 1.0, 2)
 P2 = SaddleParams(1.0, 1.0, 1.0, 2.0, 2)
+
+# 50-digit mpmath values of F and I_inf, written by tests/make_F_fixture.py
+F_FIXTURE = json.loads((Path(__file__).parent / "data" / "F_fixture.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", F_FIXTURE["sets"], ids=lambda c: ",".join(f"{v:g}" for v in c["params"])
+)
+def test_F_matches_mpmath(case):
+    a0, a2, b0, b2, kappa = case["params"]
+    p = SaddleParams(a0, a2, b0, b2, int(kappa))
+    ker = ReductionKernel(p)
+    F = ker.F_s(np.array(case["s"]))
+    assert np.max(np.abs(F / np.array(case["F"]) - 1.0)) <= 4e-15
+    for I in (ker.I_inf, m_integral(p, "xi"), m_integral(p, "omega")):
+        assert abs(I / case["I_inf"] - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("p", [P1, P2])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from saddletail.errors import BetaOutOfRange, IllConditioned, NonMonotoneInput
+from saddletail.errors import BetaOutOfRange, IllConditioned, InvalidInput, NonMonotoneInput
 from saddletail.renewal import (
     MixingCoeffs,
     correlation_prediction,
@@ -53,6 +53,9 @@ def test_renewal_sequence_validation():
         renewal_sequence([0.5, -0.1], 2)
     with pytest.raises(ValueError):
         renewal_sequence([0.8, 0.8], 2)
+    for bad in ([0.5, math.nan, 0.1], [0.5, math.inf, 0.1], [0.1, 0.2, 0.3, math.nan]):
+        with pytest.raises(InvalidInput, match="finite"):
+            renewal_sequence(bad, 3)
 
 
 def test_mixing_coeffs_values():
@@ -78,6 +81,9 @@ def test_mixing_coeffs_validation():
         mixing_coeffs(1.0, 0.0)
     with pytest.raises(ValueError):
         mixing_coeffs(-1.0, 0.75)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidInput, match="C0 must be positive and finite"):
+            mixing_coeffs(bad, 0.75)
 
 
 def test_fit_higher_order_recovers_planted():
