@@ -56,8 +56,19 @@ _XMAX_DEG = 16
 _XMAX_MAX_DEG = 256
 _XMAX_TOL = 1e-13
 
-# invert refuses roots whose abscissa exp(ln x) is not a normal double
+# invert refuses roots, and exit_time exit heights, whose exp(ln) is not a
+# normal double: exp would lose their digits or underflow to 0
 _LN_TINY = math.log(np.finfo(float).tiny)
+
+
+def _exp_normal(ln_val, what):
+    """exp(ln_val), or BracketFailure where that is not a normal double."""
+    if np.any(ln_val < _LN_TINY):
+        raise BracketFailure(
+            f"{what} = {np.min(ln_val):.6g} lies below the smallest normal "
+            f"double (ln = {_LN_TINY:.6g})"
+        )
+    return np.exp(ln_val)
 
 
 class ReductionKernel:
@@ -170,6 +181,8 @@ class ReductionKernel:
         """Passage time from (xi, eta) to the section x = zeta0, vectorised.
 
         Requires 0 < xi <= zeta0 elementwise; xi == zeta0 returns exactly 0.
+        with_omega=True also returns the exit heights, and raises
+        BracketFailure if one lies below the smallest normal double.
         """
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         eta = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -181,7 +194,8 @@ class ReductionKernel:
         T = self._time_from_logs(lx, ly, lw, lz)
         T = np.where(xi == zeta0, 0.0, T)
         if with_omega:
-            return T, np.where(xi == zeta0, eta, np.exp(lw))
+            omega = _exp_normal(lw, "exit height at ln(omega)")
+            return T, np.where(xi == zeta0, eta, omega)
         return T
 
     def _ln_g(self, lx, ly):
@@ -271,12 +285,7 @@ class ReductionKernel:
             raise BracketFailure("could not bracket the exit-time inverse")
         x0 = None if lnx0 is None else np.broadcast_to(lnx0, shape).ravel()
         lx = solve_increasing(excess, lo, hi, x0, tol=1e-13 * (1.0 + abs(hi)))
-        if np.any(lx < _LN_TINY):
-            raise BracketFailure(
-                f"exit-time inverse at ln(xi) = {lx.min():.6g} lies below the "
-                f"smallest normal double (ln = {_LN_TINY:.6g})"
-            )
-        return np.exp(lx).reshape(shape)
+        return _exp_normal(lx, "exit-time inverse at ln(xi)").reshape(shape)
 
     # -- the strip boundary x_max(y) -----------------------------------------
 

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import _rk45
-from ._reduction import kernel_for
+from ._reduction import _exp_normal, kernel_for
 from .errors import DiagonalNotReached, InvalidInput, LeftDomain, StepLimitExceeded
 from .params import SaddleParams, derive_constants
 
@@ -418,7 +418,10 @@ def perturbed_first_integral(
 
 
 def omega_of_xi(p: SaddleParams, xi: float, eta: float, zeta0: float) -> float:
-    """Exit height on x = zeta0 of the orbit entering at (xi, eta)."""
+    """Exit height on x = zeta0 of the orbit entering at (xi, eta).
+
+    Raises BracketFailure if it lies below the smallest normal double.
+    """
     _check_section_args(xi, eta, zeta0)
     if xi == zeta0:
         return float(eta)
@@ -426,7 +429,7 @@ def omega_of_xi(p: SaddleParams, xi: float, eta: float, zeta0: float) -> float:
     lw = ker.omega_log(
         ker.level_log(math.log(xi), math.log(eta)), math.log(zeta0)
     )
-    return float(np.exp(lw[0]))
+    return float(_exp_normal(lw, "exit height at ln(omega)")[0])
 
 
 def compute_G(p: SaddleParams, xi, eta):

@@ -16,6 +16,13 @@ x_max(y) is likewise found two ways: monte_carlo_tail reads it from the
 kernel's validated Chebyshev table (ReductionKernel.x_max), while
 semi_analytic_tail solves it at each quadrature node with invert.
 
+On the flow route (a nonzero perturbation) most orbits cross the section
+long before the first grid point and add nothing to any mass.  Samples
+whose unperturbed reduction time is below n_grid[0]/2 form a thinned
+stratum: each is integrated with probability 1/16, drawn from its own RNG
+substream, and carries 16 times its weight (Horvitz-Thompson), so the
+estimate stays unbiased for any perturbation.
+
 Exceedance masses are turned into an exponent and constant by fit_regvar
 (weighted log-log least squares, optional 1/n second-order column) and
 into per-n masses by small_tail (first differences).
@@ -38,7 +45,7 @@ from .errors import (
     NotConverged,
     SeedRequired,
 )
-from .flow import IntegratorConfig, Perturbation, _exit_times_batch
+from .flow import IntegratorConfig, Perturbation, _check_start, _exit_times_batch
 from .params import SaddleParams, default_section
 
 __all__ = [
@@ -57,6 +64,10 @@ _MAX_PANELS = 256
 # largest relative drop the monotone repair of semi_analytic_tail may make
 _MAX_REPAIR = 1e-12
 _MC_FLOW_CFG = IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10)
+# flow route: samples whose unperturbed exit time is below _THIN_BELOW *
+# n_grid[0] are integrated at rate 1/_THIN_RATE with _THIN_RATE times the weight
+_THIN_BELOW = 0.5
+_THIN_RATE = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +275,18 @@ def _mc_block(args):
         T = ker.exit_time(x, y, zeta0)
         n_cens = 0
     else:
-        T = _exit_times_batch(p, x, y, zeta0, pert=pert, cfg=cfg, censor=censor)
+        _check_start(np.column_stack([x, y]), cfg.bbox)
+        run = np.ones(count, dtype=bool)
+        if n_arr[0] > 0:
+            thin = ker.exit_time(x, y, zeta0) < _THIN_BELOW * n_arr[0]
+            keep = np.random.default_rng([seed, block_index, 1]).random(count)
+            run = ~thin | (keep < 1.0 / _THIN_RATE)
+            w[thin] *= _THIN_RATE
+        # an orbit left out has T = 0, so it adds 0 to every mass
+        T = np.zeros(count)
+        T[run] = _exit_times_batch(
+            p, x[run], y[run], zeta0, pert=pert, cfg=cfg, censor=censor
+        )
         n_cens = int(np.isinf(T).sum())
     order = np.argsort(T, kind="stable")
     Ts = T[order]
@@ -302,10 +324,21 @@ def monte_carlo_tail(
 
     Exit times come from the reduced quadrature when the perturbation is
     empty and from field integration (censored at max(n_grid) + 1, at
-    _MC_FLOW_CFG unless cfg is given) otherwise.  Work is split into fixed
-    65536-sample blocks with RNG substreams seeded by (seed, block index)
-    and merged in block order, so results are bit-identical for any jobs
-    count.
+    _MC_FLOW_CFG unless cfg is given) otherwise.  On that flow route, when
+    n_grid[0] > 0, a sample whose unperturbed reduction time is below
+    n_grid[0]/2 is integrated only with probability 1/16 and then carries
+    16 times its fiber mass; a sample left out adds 0 to every mass.  The
+    keep draws come from the substream (seed, block index, 1), so the
+    (x, y) draws do not change.  Each mass and its stderr stay means of
+    i.i.d. terms and so stay unbiased for any perturbation: the reduction
+    only sets the sampling rates, and the stderr is larger where thinned
+    orbits reach the grid.  A grid that starts at 0 thins nothing.  Every
+    start is still checked, whether or not it is integrated, but only
+    integrated orbits can raise LeftDomain or StepLimitExceeded.
+
+    Work is split into fixed 65536-sample blocks with RNG substreams
+    seeded by (seed, block index) and merged in block order, so results
+    are bit-identical for any jobs count.
     """
     if density is None or N is None or n_grid is None:
         raise InvalidInput("density, N, and n_grid are required")

@@ -185,6 +185,14 @@ def test_exit_time_inverse_below_smallest_double_exits_3(tmp_path, capsys):
     assert "numerical failure: BracketFailure" in capsys.readouterr().err
 
 
+def test_exit_height_below_smallest_double_exits_3(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    doc = {"a0": 0.1094, "a2": 0.3535, "b0": 14.36, "b2": 16.32, "kappa": 4}
+    path.write_text(json.dumps({**doc, "zeta0": 1.0, "eta0": 0.3298}))
+    assert run_cli("exit-time", "--config", str(path), "--xi", "0.001342") == 3
+    assert "numerical failure: BracketFailure" in capsys.readouterr().err
+
+
 def test_builtin_verify_config_matches_default_file():
     path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
     assert json.loads(path.read_text()) == cli._DEFAULT_VERIFY_CONFIG

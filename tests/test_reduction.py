@@ -11,6 +11,7 @@ from saddletail import _reduction
 from saddletail._reduction import ReductionKernel, kernel_for
 from saddletail.asymptotics import m_integral
 from saddletail.errors import BracketFailure, NotConverged
+from saddletail.flow import omega_of_xi
 from saddletail.params import SaddleParams, make_rect
 
 P1 = SaddleParams(1.0, 3.0, 2.0, 1.0, 2)
@@ -146,6 +147,18 @@ def test_exit_time_scalar_vector_consistency():
         assert float(T_i[0]) == pytest.approx(float(T_vec[i]), rel=1e-14)
     assert np.all(np.diff(T_vec) < 0.0)  # deeper entry waits longer
     assert np.all(w_vec > 0.0)
+
+
+def test_exit_height_below_smallest_double_raises():
+    # ln omega = -859 here, so exp(ln omega) would underflow to 0.0
+    p = SaddleParams(0.1094, 0.3535, 14.36, 16.32, 4)
+    ker = ReductionKernel(p)
+    with pytest.raises(BracketFailure, match="smallest normal double"):
+        ker.exit_time(0.001342, 0.3298, 1.0, with_omega=True)
+    with pytest.raises(BracketFailure, match="smallest normal double"):
+        omega_of_xi(p, 0.001342, 0.3298, 1.0)
+    # the exit time itself is computed from logs and stays finite
+    assert ker.exit_time(0.001342, 0.3298, 1.0)[0] == pytest.approx(4.4055e11, rel=1e-4)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

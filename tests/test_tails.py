@@ -6,6 +6,7 @@ from saddletail import _reduction, tails
 from saddletail.asymptotics import tail_coeffs, tail_expansion
 from saddletail.density import uniform_density
 from saddletail.errors import InsufficientData, NonMonotoneInput, NotConverged, SeedRequired
+from saddletail.flow import Perturbation
 from saddletail.params import SaddleParams, make_rect
 from saddletail.tails import (
     TailTable,
@@ -163,6 +164,46 @@ def test_monte_carlo_agrees_with_semi_analytic():
     z = np.abs(mc.mass - sm.mass) / np.where(mc.stderr > 0, mc.stderr, 1.0)
     assert float(z.max()) <= 4.0
     assert mc.n_censored == 0
+
+
+PERT = Perturbation.from_terms(px=[(1, 2, 0.1)], py=[(2, 1, -0.1)])  # criterion 7's
+
+
+def test_monte_carlo_flow_route_jobs_invariant():
+    # one full block and one partial one, both thinned below n_grid[0]/2
+    kw = dict(N=65536 + 3000, seed=5, n_grid=geometric_grid(100, 2000, 8), zeta0=RECT.zeta0)
+    a = monte_carlo_tail(P2, PERT, DENS, **kw)
+    b = monte_carlo_tail(P2, PERT, DENS, jobs=2, **kw)
+    assert np.array_equal(a.mass, b.mass) and np.array_equal(a.stderr, b.stderr)
+    assert a.n_censored == b.n_censored
+
+
+def test_monte_carlo_thinning_leaves_flow_masses_bitwise():
+    # no orbit whose unperturbed exit time is below 50 reaches n = 100 under
+    # the perturbation, so the thinned run equals the full one bit for bit;
+    # a grid that starts at 0 thins nothing
+    grid = geometric_grid(100, 5000, 8)
+    kw = dict(N=20_000, seed=21, zeta0=RECT.zeta0)
+    thin = monte_carlo_tail(P2, PERT, DENS, n_grid=grid, **kw)
+    full = monte_carlo_tail(P2, PERT, DENS, n_grid=np.r_[0, grid], **kw)
+    assert np.array_equal(thin.mass, full.mass[1:])
+    assert np.array_equal(thin.stderr, full.stderr[1:])
+    assert thin.n_censored == full.n_censored
+
+
+def test_monte_carlo_thinned_stratum_reaching_grid_is_unbiased(monkeypatch):
+    # thin below 8 * n_grid[0], so thinned orbits do reach the grid: the
+    # weighted estimate must still agree with the full one, at a larger stderr
+    monkeypatch.setattr(tails, "_THIN_BELOW", 8.0)
+    grid = geometric_grid(100, 5000, 8)
+    kw = dict(N=65536, seed=1234, zeta0=RECT.zeta0)
+    thin = monte_carlo_tail(P2, PERT, DENS, n_grid=grid, **kw)
+    full = monte_carlo_tail(P2, PERT, DENS, n_grid=np.r_[0, grid], **kw)
+    m, s = full.mass[1:], full.stderr[1:]
+    assert not np.array_equal(thin.mass, m)
+    assert thin.stderr[0] > 2.0 * s[0]
+    z = np.abs(thin.mass - m) / np.hypot(thin.stderr, s)
+    assert float(z.max()) <= 3.0
 
 
 def test_fit_recovers_planted_power_law():
