@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -150,6 +151,8 @@ def cmd_exit_time(args) -> int:
     eta = args.eta if args.eta is not None else cfg.rect.eta0
     if (args.xi is None) == (args.T is None):
         raise _Usage("exit-time needs exactly one of --xi or --T")
+    if not 0.0 < eta < math.inf:
+        raise InvalidInput("--eta must be finite and positive")
     if args.xi is not None:
         ker = kernel_for(p)
         xis = np.asarray(args.xi, dtype=float)
@@ -349,6 +352,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _jobs(text: str) -> int:
+    """A --jobs value: a worker-thread count, an integer >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_command(sub, name, func, summary, *, table=False, seeded=False, builtin=False):
     """A subparser with --config and --out; --format for the commands that
     print a table, --seed and --jobs for those that read them."""
@@ -361,7 +371,7 @@ def _add_command(sub, name, func, summary, *, table=False, seeded=False, builtin
         )
     if seeded:
         sp.add_argument("--seed", type=_seed, help="override the config seed")
-        sp.add_argument("--jobs", type=int, default=1, help="worker threads")
+        sp.add_argument("--jobs", type=_jobs, default=1, help="worker threads")
     sp.set_defaults(func=func)
     return sp
 

@@ -448,12 +448,12 @@ def compute_G(p: SaddleParams, xi, eta):
 
 
 def _check_section_args(xi: float, eta: float, zeta0: float) -> None:
-    if not 0.0 < zeta0:
-        raise InvalidInput("section abscissa zeta0 must be positive")
+    if not 0.0 < zeta0 < math.inf:
+        raise InvalidInput("section abscissa zeta0 must be finite and positive")
     if not 0.0 < xi <= zeta0:
         raise InvalidInput("entry abscissa must satisfy 0 < xi <= zeta0")
-    if not 0.0 < eta:
-        raise InvalidInput("entry height must be positive")
+    if not 0.0 < eta < math.inf:
+        raise InvalidInput("entry height must be finite and positive")
 
 
 def exit_time_quadrature(p: SaddleParams, xi: float, eta: float, zeta0: float) -> float:

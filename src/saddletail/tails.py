@@ -346,6 +346,8 @@ def monte_carlo_tail(
         raise SeedRequired("monte_carlo_tail needs an explicit integer seed")
     if N < 1000:
         raise InvalidInput("N must be at least 1000")
+    if jobs < 1:
+        raise InvalidInput("jobs must be at least 1")
     if zeta0 is None:
         zeta0 = default_section(p)
     n_arr = np.asarray(n_grid, dtype=np.int64)
@@ -396,6 +398,8 @@ def fit_regvar(
     (beta, C0) meaning is unchanged.
     """
     lo, hi = int(fit_range[0]), int(fit_range[1])
+    if not (1 <= lo < hi):
+        raise InvalidInput("fit range must satisfy 1 <= lo < hi")
     sel = (t.n_grid >= lo) & (t.n_grid <= hi) & (t.mass > 0.0)
     n = t.n_grid[sel].astype(float)
     m = t.mass[sel]

@@ -259,7 +259,7 @@ def criterion_6(seed: int, jobs: int = 1) -> CriterionResult:
     d = derive_constants(p)
     tc = tail_coeffs(p, d, dens, zeta0=rect.zeta0)
 
-    lead = d.c2 ** (-1.0 / d.u) * m_integral(p, "xi") ** d.beta2
+    lead = d.c2 ** (-1.0 / d.u) * m_integral(p) ** d.beta2
     C0_indep = quad(
         lambda y: lead * y ** (-(p.a2 / p.b2)) * dens.w(y),
         rect.eta0,

@@ -1,11 +1,13 @@
 """Envelope integral, inversion expansion, and tail-coefficient arithmetic."""
-import re
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 
-from saddletail import asymptotics
+from saddles import SADDLES, saddle, swap
 from saddletail.asymptotics import (
     _gl_integral,
     coeffs,
@@ -18,17 +20,12 @@ from saddletail.asymptotics import (
     xi_expansion,
 )
 from saddletail.density import uniform_density
-from saddletail.errors import NotConverged
+from saddletail.errors import InvalidInput, NotConverged
 from saddletail.flow import IntegratorConfig, exit_time_quadrature, flow, omega_of_xi
 from saddletail.params import SaddleParams, derive_constants, make_rect
 
 P1 = SaddleParams(1.0, 3.0, 2.0, 1.0, 2)
 P2 = SaddleParams(1.0, 1.0, 1.0, 2.0, 2)
-
-
-def swap(p):
-    # exchange the axes (time reversal): entry data and exit data trade places
-    return SaddleParams(p.b2, p.b0, p.a2, p.a0, p.kappa)
 
 
 @pytest.mark.parametrize(
@@ -42,7 +39,8 @@ def test_m_integral_beta_function_closed_form(p):
     b = 1.0 / (k * d.beta2)
     closed = (1.0 / k) * d.c0 ** (-b) * d.c2 ** (-a) * float(beta_fn(a, b))
     assert m_integral(p) == pytest.approx(closed, rel=1e-12)
-    assert m_integral(p, "omega") == pytest.approx(closed, rel=1e-12)
+    # time reversal swaps a with b and c0 with c2, which leaves I unchanged
+    assert m_integral(swap(p)) == m_integral(p)
 
 
 def test_m_integral_frozen_value():
@@ -64,20 +62,59 @@ def test_coeffs_requires_geometry():
         coeffs(P2)
 
 
-def test_coeffs_raises_when_reversal_identity_fails(monkeypatch):
-    # a quadrature that is off by 1e-6 on the omega side only
-    def skewed(p, which="xi"):
-        return m_integral(p, which) * (1.0 + 1e-6 * (which == "omega"))
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("which", ["eta", "zeta0"])
+def test_geometry_must_be_finite_and_positive(which, bad):
+    geom = {"eta": 0.5, "zeta0": 0.5, which: bad}
+    with pytest.raises(InvalidInput, match=which):
+        coeffs(P2, **geom)
+    with pytest.raises(InvalidInput, match=which):
+        invert_exit_time(P2, geom["eta"], geom["zeta0"], 10.0)
+    if which == "zeta0":
+        rect = make_rect(P2)
+        dens = uniform_density((rect.eta0, rect.eta1), 2)
+        with pytest.raises(InvalidInput, match=which):
+            tail_coeffs(P2, density=dens, zeta0=bad)
 
-    exact = coeffs(P2, eta=0.62, zeta0=0.41).omega0
-    monkeypatch.setattr(asymptotics, "m_integral", skewed)
-    with pytest.raises(NotConverged, match="reversal identity") as info:
-        coeffs(P2, eta=0.62, zeta0=0.41)
-    # the message carries both values: the skewed omega0, then the identity's
-    omega0, alt = map(float, re.findall(r"\d+\.\d+(?:e[-+]\d+)?", str(info.value)))
-    assert alt == pytest.approx(exact, rel=1e-12)
-    beta0 = derive_constants(P2).beta0
-    assert omega0 / alt == pytest.approx((1.0 + 1e-6) ** beta0, rel=1e-9)
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**SADDLES, eta=st.floats(0.3, 1.0), zeta0=st.floats(0.3, 1.0))
+def test_omega0_reversal_identity_across_parameters(kappa, logs, sign, eta, zeta0):
+    # ln omega0 = (beta0/beta2) ln xi0 + (1 + k/v) ln eta - (b0/a0) ln zeta0
+    #             + ln(c2/c0)/v,
+    # in logs: as a product, xi0^(beta0/beta2) overflows once beta0/beta2 >~ 50
+    p = saddle(kappa, logs, sign)
+    d = derive_constants(p)
+    k, lnI = float(kappa), math.log(m_integral(p))
+    info = np.finfo(float)
+    try:
+        c = coeffs(p, eta=eta, zeta0=zeta0)
+    except OverflowError:
+        c = None
+    if c is None or not info.tiny <= min(c.xi0, c.omega0) <= max(c.xi0, c.omega0) < math.inf:
+        # coeffs cannot hold xi0 or omega0 as a normal double: check that
+        # one of them really lies outside that range
+        ln_xi0 = -math.log(d.c2) / d.u - (p.a2 / p.b2) * math.log(eta) + d.beta2 * lnI
+        ln_om0 = -math.log(d.c0) / d.v - (p.b0 / p.a0) * math.log(zeta0) + d.beta0 * lnI
+        ln_range = (math.log(info.tiny), math.log(info.max))
+        assert not all(ln_range[0] < x < ln_range[1] for x in (ln_xi0, ln_om0))
+        return
+    ln_xi0, ln_om0 = math.log(c.xi0), math.log(c.omega0)
+    terms = (
+        (d.beta0 / d.beta2) * ln_xi0,
+        (1.0 + k / d.v) * math.log(eta),
+        -(p.b0 / p.a0) * math.log(zeta0),
+        (math.log(d.c2) - math.log(d.c0)) / d.v,
+    )
+    assert abs(ln_om0 - sum(terms)) <= 1e-13 * (1.0 + sum(map(abs, terms)))
+
+
+def test_coeffs_where_the_product_form_of_omega0_loses_digits():
+    # beta0/beta2 = 49.5: as a product, xi0^(beta0/beta2) = 2.1e297 amplifies
+    # the rounding of xi0 past 1e-8 relative, but omega0 itself is finite
+    p = SaddleParams(0.0511356387494266, 0.3501302054415837, 11.91459137613495, 0.09399604262448451, 2)
+    c = coeffs(p, eta=0.5454192104219183, zeta0=0.3962444409589233)
+    assert math.isfinite(c.xi0) and c.omega0 == pytest.approx(1.5798168538344e211, rel=1e-12)
 
 
 def test_duality_swap_exchanges_entry_and_exit():

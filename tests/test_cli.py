@@ -108,6 +108,19 @@ def test_derive_report_shape(config_path, capsys):
     assert doc["tail_coeffs"]["C0"] == pytest.approx(1.00128785552, rel=1e-9)
 
 
+def test_derive_where_the_product_form_of_omega0_overflowed(tmp_path, capsys):
+    # beta0/beta2 = 49.3: as a product, xi0^(beta0/beta2) overflows here,
+    # although omega0 = 5.1e217 is finite
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(
+        {"a0": 0.05, "a2": 0.35, "b0": 12.0, "b2": 0.09, "kappa": 2, "zeta0": 0.4, "eta0": 0.5}
+    ))
+    assert run_cli("derive", "--config", str(path)) == 0
+    coeffs = json.loads(capsys.readouterr().out)["asymptotic_coeffs"]
+    assert coeffs["omega0"] == pytest.approx(5.148751571327371e217, rel=1e-12)
+    assert "m_integral_omega" not in coeffs
+
+
 def test_asymptotics_report(config_path, capsys):
     assert run_cli("asymptotics", "--config", config_path) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -225,9 +238,17 @@ def test_exit_time_xi_out_of_range(config_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ["--xi", "--T"])
-def test_exit_time_nan_exits_2(config_path, capsys, mode):
-    assert run_cli("exit-time", "--config", config_path, mode, "nan") == 2
+@pytest.mark.parametrize(
+    "args",
+    [pytest.param(("--xi", "nan"), id="--xi"), pytest.param(("--T", "nan"), id="--T")]
+    + [
+        pytest.param((mode, value, "--eta", eta), id=f"{mode}--eta={eta}")
+        for mode, value in (("--xi", "0.1"), ("--T", "10"))
+        for eta in ("nan", "-1", "0")
+    ],
+)
+def test_exit_time_nan_exits_2(config_path, capsys, args):
+    assert run_cli("exit-time", "--config", config_path, *args) == 2
     assert "validation error: InvalidInput" in capsys.readouterr().err
 
 
@@ -265,6 +286,25 @@ def test_tail_mc_needs_seed(config_path, capsys):
     )
     assert code == 2
     assert "SeedRequired" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "1.5", "two"])
+def test_bad_jobs_is_usage_error(config_path, capsys, jobs):
+    code = run_cli(
+        "tail", "--config", config_path, "--mode", "mc", "--seed", "31",
+        "--N", "1000", "--n-min", "5", "--n-max", "50", "--jobs", jobs,
+    )
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_tail_fit_range_reversed_exits_2(config_path, capsys):
+    code = run_cli(
+        "tail", "--config", config_path, "--n-max", "1000", "--per-decade", "8",
+        "--fit-lo", "500", "--fit-hi", "100",
+    )
+    assert code == 2
+    assert "validation error: InvalidInput: fit range" in capsys.readouterr().err
 
 
 def test_tail_mc_deterministic(config_path, tmp_path):

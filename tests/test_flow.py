@@ -198,6 +198,16 @@ def test_exit_time_routes_agree():
             assert tf == pytest.approx(tq, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "xi, eta, zeta0",
+    [(0.1, math.inf, 0.5), (0.1, math.nan, 0.5), (0.1, 0.5, math.inf), (math.inf, 0.5, math.inf)],
+)
+@pytest.mark.parametrize("route", [exit_time_quadrature, exit_time_flow, omega_of_xi])
+def test_section_routes_reject_non_finite_geometry(route, xi, eta, zeta0):
+    with pytest.raises(InvalidInput):
+        route(P2, xi, eta, zeta0)
+
+
 def test_exit_time_zero_on_section():
     rect = make_rect(P2)
     assert exit_time_quadrature(P2, rect.zeta0, rect.eta0, rect.zeta0) == 0.0

@@ -1,12 +1,14 @@
 """Reduced one-dimensional kernel: levels, exit heights, and inversion."""
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from saddles import SADDLES, saddle, swap
 from saddletail import _reduction
 from saddletail._reduction import ReductionKernel, kernel_for
 from saddletail.asymptotics import m_integral
@@ -30,7 +32,7 @@ def test_F_matches_mpmath(case):
     ker = ReductionKernel(p)
     F = ker.F_s(np.array(case["s"]))
     assert np.max(np.abs(F / np.array(case["F"]) - 1.0)) <= 4e-15
-    for I in (ker.I_inf, m_integral(p, "xi"), m_integral(p, "omega")):
+    for I in (ker.I_inf, m_integral(p), m_integral(swap(p))):
         assert abs(I / case["I_inf"] - 1.0) <= 1e-15
 
 
@@ -162,19 +164,11 @@ def test_exit_height_below_smallest_double_raises():
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    kappa=st.sampled_from([2, 4, 6]),
-    logs=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
-    sign=st.sampled_from([-1.0, 1.0]),
-)
+@given(**SADDLES)
 # x_max within 1e-6 of zeta0: the old fixed-count inversion returned T = 1.27e-3
 @example(kappa=6, logs=[np.log10(v) for v in (0.1438, 0.01593, 0.4408, 23.19)], sign=-1.0)
 def test_invert_and_exit_height_across_parameters(kappa, logs, sign):
-    a0, a2, b0, b2 = (10.0**e for e in logs)
-    if np.sign(a2 * b0 - a0 * b2) != sign:  # swapping the pairs flips delta
-        a0, a2, b0, b2 = b0, b2, a0, a2
-    assume(abs(a2 * b0 - a0 * b2) > 1e-3 * (a2 * b0 + a0 * b2))
-    p = SaddleParams(a0, a2, b0, b2, kappa)
+    p = saddle(kappa, logs, sign)
     rect = make_rect(p)
     ker = ReductionKernel(p)
     y = np.linspace(rect.eta0, rect.eta1, 33)
@@ -186,6 +180,31 @@ def test_invert_and_exit_height_across_parameters(kappa, logs, sign):
     lev = ker.level_log(lx, np.log(y))
     lev_exit = ker.level_log(np.full_like(lx, lz), ker.omega_log(lev, lz))
     assert np.max(np.abs(lev_exit - lev) / (1.0 + np.abs(lev))) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**SADDLES, eta=st.floats(0.3, 1.0), lnxi=st.floats(-8.0, -0.01))
+# ln omega = -859.2: the exit height underflows
+@example(
+    kappa=4, logs=[np.log10(v) for v in (0.1094, 0.3535, 14.36, 16.32)], sign=1.0,
+    eta=0.3298, lnxi=math.log(0.001342),
+)
+def test_exit_time_duality_across_parameters(kappa, logs, sign, eta, lnxi):
+    # time reversal runs the orbit from (xi, eta) to (zeta0, omega) backwards:
+    # in swapped coordinates it enters at (omega, zeta0) and leaves through
+    # x = eta at height xi, after the same time
+    p = saddle(kappa, logs, sign)
+    ker, rev = ReductionKernel(p), ReductionKernel(swap(p))
+    xi, zeta0 = math.exp(lnxi), 1.0
+    try:
+        T, omega = ker.exit_time(xi, eta, zeta0, with_omega=True)
+    except BracketFailure:
+        ln_omega = ker.omega_log(ker.level_log(lnxi, math.log(eta)), math.log(zeta0))
+        assert ln_omega[0] < _reduction._LN_TINY
+        return
+    T_rev, xi_back = rev.exit_time(omega, zeta0, eta, with_omega=True)
+    assert abs(T_rev[0] / T[0] - 1.0) <= 1e-12
+    assert abs(xi_back[0] / xi - 1.0) <= 1e-12
 
 
 def _x_max_misfit(ker, xm, y, zeta0):
@@ -209,19 +228,11 @@ def test_x_max_table_matches_invert(p):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    kappa=st.sampled_from([2, 4, 6]),
-    logs=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
-    sign=st.sampled_from([-1.0, 1.0]),
-)
+@given(**SADDLES)
 @example(kappa=2, logs=[-1.97, 1.9, -0.62, -0.63], sign=1.0)  # T nearly flat in x
 @example(kappa=6, logs=[-0.84, -1.8, -0.36, 1.37], sign=-1.0)  # x_max near zeta0
 def test_x_max_table_across_parameters(kappa, logs, sign):
-    a0, a2, b0, b2 = (10.0**e for e in logs)
-    if np.sign(a2 * b0 - a0 * b2) != sign:  # swapping the pairs flips delta
-        a0, a2, b0, b2 = b0, b2, a0, a2
-    assume(abs(a2 * b0 - a0 * b2) > 1e-3 * (a2 * b0 + a0 * b2))
-    p = SaddleParams(a0, a2, b0, b2, kappa)
+    p = saddle(kappa, logs, sign)
     rect = make_rect(p)
     ker = ReductionKernel(p)
     y = np.linspace(rect.eta0, rect.eta1, 97)

@@ -5,7 +5,13 @@ import pytest
 from saddletail import _reduction, tails
 from saddletail.asymptotics import tail_coeffs, tail_expansion
 from saddletail.density import uniform_density
-from saddletail.errors import InsufficientData, NonMonotoneInput, NotConverged, SeedRequired
+from saddletail.errors import (
+    InsufficientData,
+    InvalidInput,
+    NonMonotoneInput,
+    NotConverged,
+    SeedRequired,
+)
 from saddletail.flow import Perturbation
 from saddletail.params import SaddleParams, make_rect
 from saddletail.tails import (
@@ -249,6 +255,20 @@ def test_fit_needs_enough_points():
     t = TailTable(n_grid=n, mass=1.0 / n, stderr=None, n_censored=None)
     with pytest.raises(InsufficientData):
         fit_regvar(t, (1, 5))
+
+
+@pytest.mark.parametrize("fit_range", [(500, 100), (100, 100), (0, 10_000), (-5, 10_000)])
+def test_fit_range_must_satisfy_1_le_lo_lt_hi(fit_range):
+    # with lo = 0 the grid point n = 0 would put log(0) = -inf into the fit
+    n = np.r_[0, geometric_grid(10, 10_000, 24)]
+    t = TailTable(n_grid=n, mass=(n + 1.0) ** -0.8, stderr=None, n_censored=None)
+    with pytest.raises(InvalidInput, match="fit range"):
+        fit_regvar(t, fit_range)
+
+
+def test_monte_carlo_needs_a_worker():
+    with pytest.raises(InvalidInput, match="jobs"):
+        monte_carlo_tail(P2, None, DENS, N=1000, seed=1, n_grid=np.array([1, 2]), zeta0=RECT.zeta0, jobs=0)
 
 
 def test_small_tail_telescopes():
