@@ -1,10 +1,11 @@
 """Shared numerics: the 16-point Gauss-Legendre rule and a safeguarded solver.
 
-gl_panels lays the rule on equal panels of an interval; every composite
-Gauss-Legendre sum in the package uses it.  solve_increasing is the one
-root-finder behind exit heights, exit-time inversion, inverse-CDF sampling
-and event location: Newton kept inside a per-element bracket, with a
-bisection fallback (Numerical Recipes, rtsafe).
+gl_panels lays the rule on equal panels of an interval, and gl_doubling,
+the one panel-doubling loop, serves the semi-analytic tail and the tail
+coefficients.  solve_increasing is the one root-finder behind exit heights,
+exit-time inversion, inverse-CDF sampling and event location: Newton kept
+inside a per-element bracket, with a bisection fallback (Numerical Recipes,
+rtsafe).
 """
 from __future__ import annotations
 
@@ -27,6 +28,25 @@ def gl_panels(lo: float, hi: float, panels: int):
     nodes = (mid[None, :] + half * GL_NODES[:, None]).ravel(order="F")
     wts = np.tile(GL_WEIGHTS * half, panels)
     return nodes, wts
+
+
+def gl_doubling(sums, lo: float, hi: float, panels: int, max_panels: int, *, rtol, what):
+    """(sums, panel count) once every sum moves by <= rtol*max(|v|, 1e-300).
+
+    sums(nodes, wts) returns a 1-d array of sums over gl_panels(lo, hi, n);
+    n starts at panels and doubles, and NotConverged is raised past max_panels.
+    """
+    prev = None
+    while True:
+        val = sums(*gl_panels(lo, hi, panels))
+        if prev is not None and np.all(
+            np.abs(val - prev) <= rtol * np.maximum(np.abs(val), 1e-300)
+        ):
+            return val, panels
+        if panels >= max_panels:
+            raise NotConverged(f"{what} not stable to rtol={rtol} at {panels} panels")
+        prev = val
+        panels *= 2
 
 
 def solve_increasing(fun, lo, hi, x=None, *, tol, max_iter=100):

@@ -56,9 +56,10 @@ _XMAX_DEG = 16
 _XMAX_MAX_DEG = 256
 _XMAX_TOL = 1e-13
 
-# invert refuses roots, and exit_time exit heights, whose exp(ln) is not a
-# normal double: exp would lose their digits or underflow to 0
+# invert refuses roots, exit_time exit heights and coeffs its leading terms
+# whose exp(ln) is not a normal double: exp would lose digits or leave the range
 _LN_TINY = math.log(np.finfo(float).tiny)
+_LN_HUGE = math.log(np.finfo(float).max)
 
 
 def _exp_normal(ln_val, what):
@@ -68,6 +69,8 @@ def _exp_normal(ln_val, what):
             f"{what} = {np.min(ln_val):.6g} lies below the smallest normal "
             f"double (ln = {_LN_TINY:.6g})"
         )
+    if np.any(ln_val > _LN_HUGE):
+        raise BracketFailure(f"{what} = {np.max(ln_val):.6g} is above the largest double")
     return np.exp(ln_val)
 
 
@@ -87,8 +90,6 @@ class ReductionKernel:
                 "reduced time integral diverges: both axis coefficient sums "
                 "must be positive (a0 > 0 and b2 > 0)"
             )
-        self.p = p
-        self.d = d
         self.k = float(p.kappa)
         self.u, self.v = d.u, d.v
         self.c0, self.c2 = d.c0, d.c2
@@ -190,15 +191,15 @@ class ReductionKernel:
         lx = np.log(xi)
         ly = np.log(eta)
         lz = math.log(zeta0)
-        lw = self.omega_log(self.level_log(lx, ly), lz)
-        T = self._time_from_logs(lx, ly, lw, lz)
-        T = np.where(xi == zeta0, 0.0, T)
+        lw, D = self._exit_parts(lx, ly, lz)
+        T = np.where(xi == zeta0, 0.0, D * np.exp(-self._ln_g(lx, ly)))
         if with_omega:
             omega = _exp_normal(lw, "exit height at ln(omega)")
             return T, np.where(xi == zeta0, eta, omega)
         return T
 
     def _ln_g(self, lx, ly):
+        """ln G(xi, eta), the normaliser of the reduced time integral, from logs."""
         return (
             lx / self.beta2
             + ly / self.beta0
@@ -206,9 +207,10 @@ class ReductionKernel:
             * np.logaddexp(self.ln_c0 + self.k * lx, self.ln_c2 + self.k * ly)
         )
 
-    def _time_from_logs(self, lx, ly, lw, lz):
-        D = self.F_s(ly - lx) - self.F_s(lw - lz)
-        return D * np.exp(-self._ln_g(lx, ly))
+    def _exit_parts(self, lx, ly, lz):
+        """ln omega and D, the exit time times G, from ln xi, ln eta, ln zeta0."""
+        lw = self.omega_log(self.level_log(lx, ly), lz)
+        return lw, self.F_s(ly - lx) - self.F_s(lw - lz)
 
     def _dlnT_dlnxi(self, lx, ly, lw, lz, D):
         """Analytic derivative used as the Newton slope of invert()."""
@@ -242,19 +244,15 @@ class ReductionKernel:
         T = np.asarray(T, dtype=float)
         eta = np.asarray(eta, dtype=float)
         shape = np.broadcast_shapes(T.shape, eta.shape, np.shape(lnx0)) or (1,)
-        if not np.all(T > 0.0):
-            raise InvalidInput("exit-time targets must be positive")
+        if not np.all((T > 0.0) & (T < math.inf)):
+            raise InvalidInput("exit-time targets must be finite and positive")
         ly = np.log(eta)
         lz = math.log(zeta0)
         ln_target = np.log(T)
 
-        def exit_parts(lx, ly):
-            lw = self.omega_log(self.level_log(lx, ly), lz)
-            return lw, self.F_s(ly - lx) - self.F_s(lw - lz)
-
         def end_excess(lx):
             # excess at the abscissa lx: one solve per height, broadcast to T
-            D = exit_parts(lx, ly.ravel())[1].reshape(ly.shape)
+            D = self._exit_parts(lx, ly.ravel(), lz)[1].reshape(ly.shape)
             with np.errstate(divide="ignore", invalid="ignore"):
                 return ln_target - np.log(D) + self._ln_g(lx, ly)
 
@@ -263,7 +261,7 @@ class ReductionKernel:
 
         def excess(lx, i):
             # ln target - ln T(lx): increasing, since T falls as xi grows
-            lw, D = exit_parts(lx, ly_f[i])
+            lw, D = self._exit_parts(lx, ly_f[i], lz)
             with np.errstate(divide="ignore", invalid="ignore"):
                 val = ln_target_f[i] - np.log(D) + self._ln_g(lx, ly_f[i])
             return val, -self._dlnT_dlnxi(lx, ly_f[i], lw, lz, D)
@@ -327,8 +325,7 @@ class ReductionKernel:
             # where T is flat in x, invert itself resolves ln x only to its
             # exit-time accuracy over |dlnT/dlnx|; measure the misfit in ln T there
             ly = np.log(height(t))
-            lw = self.omega_log(self.level_log(lx, ly), lz)
-            D = self.F_s(ly - lx) - self.F_s(lw - lz)
+            lw, D = self._exit_parts(lx, ly, lz)
             scale = np.minimum(1.0, np.abs(self._dlnT_dlnxi(lx, ly, lw, lz, D)))
             err = float(np.max(np.abs(chebval(t, coef) - lx) * scale))
             if err <= _XMAX_TOL:

@@ -21,6 +21,9 @@ Pushing xi(T) through an entry density gives the passage-time tail
 with beta = beta2, truncated at j = kappa (the density's sweep expansion
 stops there); the neglected remainder is O(n^-min((kappa+1)beta, 2+beta)).
 C0 = H_1 is the constant that feeds the renewal-mixing predictions.
+xi0 and omega0 are computed from their logs, and BracketFailure is raised
+where they are not normal doubles.  tail_coeffs integrates every H_j and
+Hhat_j in one Gauss-Legendre ladder (_numerics.gl_doubling).
 """
 from __future__ import annotations
 
@@ -29,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import gl_panels
-from ._reduction import kernel_for
+from ._numerics import gl_doubling
+from ._reduction import _exp_normal, kernel_for
 from .density import EntryDensity
-from .errors import InvalidInput, NotConverged
+from .errors import BracketFailure, InvalidInput
 from .params import SaddleParams, derive_constants
 
 __all__ = [
@@ -48,8 +51,8 @@ __all__ = [
     "delta_of_T",
 ]
 
-# panel doublings (from 8 panels) before _gl_integral gives up
-_GL_DOUBLINGS = 12
+# tail_coeffs doubles its Gauss-Legendre panels from 8 up to this count
+_MAX_PANELS = 16384
 
 
 def _check_geometry(**lengths: float) -> None:
@@ -68,6 +71,22 @@ def m_integral(p: SaddleParams) -> float:
     value serves both the entry and the exit expansion.
     """
     return kernel_for(p).I_inf
+
+
+def _xi_coeffs(p: SaddleParams, d, eta, zeta0: float):
+    """ln xi0, xi1 and the bracket S of coeffs at heights eta (vectorised).
+
+    ln xi0 = -ln(c2)/u - (a2/b2) ln(eta) + beta2 ln(I): as a product of
+    powers, a factor can overflow where xi0 itself is a normal double.
+    """
+    k = float(p.kappa)
+    ln_xi0 = (
+        -math.log(d.c2) / d.u
+        - (p.a2 / p.b2) * np.log(eta)
+        + d.beta2 * math.log(m_integral(p))
+    )
+    bracket = 1.0 / (p.a0 * zeta0**k) + 1.0 / (p.b2 * eta**k)
+    return ln_xi0, (d.beta2 / k) * bracket, bracket
 
 
 @dataclass(frozen=True)
@@ -103,22 +122,20 @@ def coeffs(
     _check_geometry(eta=eta, zeta0=zeta0)
     if d is None:
         d = derive_constants(p)
-    k = float(p.kappa)
     I = m_integral(p)
-    xi0 = d.c2 ** (-1.0 / d.u) * eta ** (-(p.a2 / p.b2)) * I**d.beta2
-    omega0 = d.c0 ** (-1.0 / d.v) * zeta0 ** (-(p.b0 / p.a0)) * I**d.beta0
-    bracket = 1.0 / (p.a0 * zeta0**k) + 1.0 / (p.b2 * eta**k)
-    xi1 = (d.beta2 / k) * bracket
-    omega1 = (d.beta0 / k) * bracket
+    ln_xi0, xi1, bracket = _xi_coeffs(p, d, eta, zeta0)
+    ln_omega0 = (
+        -math.log(d.c0) / d.v - (p.b0 / p.a0) * math.log(zeta0) + d.beta0 * math.log(I)
+    )
     return AsymptoticCoeffs(
         eta=float(eta),
         zeta0=float(zeta0),
         beta0=d.beta0,
         beta2=d.beta2,
-        xi0=xi0,
+        xi0=float(_exp_normal(ln_xi0, "leading entry coefficient at ln(xi0)")),
         xi1=xi1,
-        omega0=omega0,
-        omega1=omega1,
+        omega0=float(_exp_normal(ln_omega0, "leading exit coefficient at ln(omega0)")),
+        omega1=(d.beta0 / float(p.kappa)) * bracket,
         m_integral_xi=I,
     )
 
@@ -162,25 +179,6 @@ class TailCoeffs:
     zeta0: float
 
 
-def _gl_integral(f, lo: float, hi: float, rtol: float = 1e-9) -> float:
-    """Composite Gauss-Legendre with panel doubling until stable to rtol.
-
-    Raises NotConverged if the value still moves after _GL_DOUBLINGS
-    doublings.
-    """
-    prev = None
-    for doubling in range(_GL_DOUBLINGS):
-        nodes, wts = gl_panels(lo, hi, 8 << doubling)
-        val = float(f(nodes) @ wts)
-        if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
-            return val
-        prev = val
-    raise NotConverged(
-        f"tail-coefficient quadrature not stable to rtol={rtol} "
-        f"at {8 << (_GL_DOUBLINGS - 1)} panels"
-    )
-
-
 def tail_coeffs(
     p: SaddleParams,
     d=None,
@@ -193,36 +191,34 @@ def tail_coeffs(
     Hhat_j = (1/(j-1)!) int h_{j-1}(y) xi0(y)^j xi1(y) w(y) dy
 
     for j = 1..kappa, with xi0, xi1 taken at entry height y.  C0 = H_1.
+    H_j = Hhat_j = 0 exactly where h_{j-1} is the zero polynomial; a
+    non-finite integral raises BracketFailure.
     """
     if density is None or zeta0 is None:
         raise InvalidInput("density and zeta0 are required")
     _check_geometry(zeta0=zeta0)
     if d is None:
         d = derive_constants(p)
-    k = float(p.kappa)
-    lead = d.c2 ** (-1.0 / d.u) * m_integral(p) ** d.beta2
+    js = [j for j in range(1, p.kappa + 1) if np.any(density.h_coeffs[j - 1])]
 
-    def xi0_of(y):
-        return lead * y ** (-(p.a2 / p.b2))
-
-    def xi1_of(y):
-        return (d.beta2 / k) * (1.0 / (p.a0 * zeta0**k) + 1.0 / (p.b2 * y**k))
+    def sums(y, wts):
+        ln_xi0, xi1, _ = _xi_coeffs(p, d, y, zeta0)
+        xi0 = _exp_normal(ln_xi0, "leading entry coefficient at ln(xi0)")
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = np.array([density.h_j(j - 1, y) * xi0**j * density.w(y) for j in js])
+            val = np.concatenate([num @ wts, num * xi1 @ wts])
+        if not np.all(np.isfinite(val)):
+            raise BracketFailure(f"H_j or Hhat_j with j in {js} is not finite")
+        return val
 
     lo, hi = density.eta_range
-    H = []
-    Hhat = []
-    fact = 1.0
-    for j in range(1, p.kappa + 1):
-        fact *= j
-
-        def num(y, _j=j):
-            return density.h_j(_j - 1, y) * xi0_of(y) ** _j * density.w(y)
-
-        def num_hat(y, _j=j):
-            return density.h_j(_j - 1, y) * xi0_of(y) ** _j * xi1_of(y) * density.w(y)
-
-        H.append(_gl_integral(num, lo, hi) / fact)
-        Hhat.append(_gl_integral(num_hat, lo, hi) / (fact / j))
+    val, _ = gl_doubling(
+        sums, lo, hi, 8, _MAX_PANELS, rtol=1e-9, what="tail-coefficient quadrature"
+    )
+    H, Hhat = [0.0] * p.kappa, [0.0] * p.kappa
+    for i, j in enumerate(js):
+        H[j - 1] = float(val[i]) / math.factorial(j)
+        Hhat[j - 1] = float(val[len(js) + i]) / math.factorial(j - 1)
     return TailCoeffs(
         beta=d.beta2,
         C0=H[0],

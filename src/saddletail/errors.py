@@ -38,7 +38,7 @@ class LeftDomain(SaddleTailError):
 
 
 class BracketFailure(SaddleTailError):
-    """A monotone root bracket could not be established."""
+    """No monotone root bracket, or a root or coefficient is no normal double."""
 
 
 class NotConverged(SaddleTailError):

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import _rk45
-from ._reduction import _exp_normal, kernel_for
+from ._reduction import kernel_for
 from .errors import DiagonalNotReached, InvalidInput, LeftDomain, StepLimitExceeded
 from .params import SaddleParams, derive_constants
 
@@ -278,13 +278,6 @@ def flow(
     t = float(t)
     if not math.isfinite(t):
         raise InvalidInput(f"flow time must be finite, got {t}")
-    if t == 0.0:
-        out = block.copy()
-        if record:
-            traj = Trajectory(np.zeros(1), out.copy())
-            return PhaseState(float(out[0, 0]), float(out[0, 1])), traj
-        return PhaseState(float(out[0, 0]), float(out[0, 1])) if single else out
-
     f = _field_closure(p, pert)
     if t < 0.0:
         f = _backward(f)
@@ -423,28 +416,15 @@ def omega_of_xi(p: SaddleParams, xi: float, eta: float, zeta0: float) -> float:
     Raises BracketFailure if it lies below the smallest normal double.
     """
     _check_section_args(xi, eta, zeta0)
-    if xi == zeta0:
-        return float(eta)
-    ker = kernel_for(p)
-    lw = ker.omega_log(
-        ker.level_log(math.log(xi), math.log(eta)), math.log(zeta0)
-    )
-    return float(_exp_normal(lw, "exit height at ln(omega)")[0])
+    return float(kernel_for(p).exit_time(xi, eta, zeta0, with_omega=True)[1][0])
 
 
 def compute_G(p: SaddleParams, xi, eta):
     """Level-dependent normaliser of the reduced time integral."""
-    d = derive_constants(p)
-    ker = kernel_for(p)
     xa = np.asarray(xi, dtype=float)
     ya = np.asarray(eta, dtype=float)
-    scalar = xa.ndim == 0 and ya.ndim == 0
-    val = (
-        xa ** (1.0 / d.beta2)
-        * ya ** (1.0 / d.beta0)
-        * (d.c0 * xa**p.kappa + d.c2 * ya**p.kappa) ** (1.0 - ker.theta)
-    )
-    return float(val) if scalar else val
+    val = np.exp(kernel_for(p)._ln_g(np.log(xa), np.log(ya)))
+    return float(val) if val.ndim == 0 else val
 
 
 def _check_section_args(xi: float, eta: float, zeta0: float) -> None:
@@ -493,8 +473,6 @@ def exit_time_flow(
 ) -> float:
     """Passage time to x = zeta0 by integrating the field to the crossing."""
     _check_section_args(xi, eta, zeta0)
-    if xi == zeta0 and pert is None:
-        return 0.0
     T = _exit_times_batch(
         p,
         np.array([xi], dtype=float),

@@ -35,16 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import gl_panels
+from ._numerics import gl_doubling, gl_panels
 from ._reduction import kernel_for
 from .density import EntryDensity
-from .errors import (
-    InsufficientData,
-    InvalidInput,
-    NonMonotoneInput,
-    NotConverged,
-    SeedRequired,
-)
+from .errors import InsufficientData, InvalidInput, NonMonotoneInput, SeedRequired
 from .flow import IntegratorConfig, Perturbation, _check_start, _exit_times_batch
 from .params import SaddleParams, default_section
 
@@ -203,23 +197,21 @@ def semi_analytic_tail(
     else:
         probe = n_pos
 
-    panels = 4
-    prev = None
-    while True:
-        nodes, wts = gl_panels(lo, hi, panels)
+    lnxi = None
+
+    def probe_sums(nodes, wts):
+        # the probe masses, then the strip mass; the solved ln(xi) of the
+        # last panel count seeds the pass over the full grid
+        nonlocal lnxi
         vals, strip, lnxi = _tail_on_nodes(
             ker, density, zeta0, probe, nodes, wts, keep=True
         )
-        if prev is not None:
-            gap = np.abs(vals - prev[0]) <= rtol * np.maximum(np.abs(vals), 1e-300)
-            if gap.all() and abs(strip - prev[1]) <= rtol * strip:
-                break
-        if panels >= _MAX_PANELS:
-            raise NotConverged(
-                f"semi-analytic tail not stable to rtol={rtol} at {panels} outer panels"
-            )
-        prev = (vals, strip)
-        panels *= 2
+        return np.append(vals, strip)
+
+    sums, panels = gl_doubling(
+        probe_sums, lo, hi, 4, _MAX_PANELS, rtol=rtol, what="semi-analytic tail"
+    )
+    vals, strip = sums[:-1], sums[-1]
 
     if probe is not n_pos:
         # deferred: importing scipy.interpolate costs every process about
@@ -229,6 +221,7 @@ def semi_analytic_tail(
         ln_probe = np.log(probe.astype(float))
         ln_full = np.log(n_pos.astype(float))
         guess = CubicSpline(ln_probe, lnxi, axis=0)(ln_full)
+        nodes, wts = gl_panels(lo, hi, panels)
         vals, strip = _tail_on_nodes(
             ker, density, zeta0, n_pos, nodes, wts, guess=guess
         )

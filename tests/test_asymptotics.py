@@ -1,5 +1,6 @@
 """Envelope integral, inversion expansion, and tail-coefficient arithmetic."""
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 
 from saddles import SADDLES, saddle, swap
+from saddletail import asymptotics
+from saddletail._numerics import gl_doubling
 from saddletail.asymptotics import (
-    _gl_integral,
     coeffs,
     delta_of_T,
     invert_exit_time,
@@ -19,8 +21,8 @@ from saddletail.asymptotics import (
     tail_expansion,
     xi_expansion,
 )
-from saddletail.density import uniform_density
-from saddletail.errors import InvalidInput, NotConverged
+from saddletail.density import make_density, uniform_density
+from saddletail.errors import BracketFailure, InvalidInput, NotConverged
 from saddletail.flow import IntegratorConfig, exit_time_quadrature, flow, omega_of_xi
 from saddletail.params import SaddleParams, derive_constants, make_rect
 
@@ -89,7 +91,7 @@ def test_omega0_reversal_identity_across_parameters(kappa, logs, sign, eta, zeta
     info = np.finfo(float)
     try:
         c = coeffs(p, eta=eta, zeta0=zeta0)
-    except OverflowError:
+    except BracketFailure:
         c = None
     if c is None or not info.tiny <= min(c.xi0, c.omega0) <= max(c.xi0, c.omega0) < math.inf:
         # coeffs cannot hold xi0 or omega0 as a normal double: check that
@@ -107,6 +109,65 @@ def test_omega0_reversal_identity_across_parameters(kappa, logs, sign, eta, zeta
         (math.log(d.c2) - math.log(d.c0)) / d.v,
     )
     assert abs(ln_om0 - sum(terms)) <= 1e-13 * (1.0 + sum(map(abs, terms)))
+
+
+def _power_product(*factors):
+    """prod base^(num/den) over (base, num, den) in 40-digit decimals, exact
+    in the double inputs and free of the double exponent range."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        out = Decimal(1)
+        for base, num, den in factors:
+            out *= Decimal(base) ** (Decimal(num) / Decimal(den))
+        return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**SADDLES, eta=st.floats(0.3, 1.0), zeta0=st.floats(0.3, 1.0))
+def test_xi0_omega0_match_the_product_of_powers(kappa, logs, sign, eta, zeta0):
+    # coeffs works in logs; a reference product of powers without a double
+    # range decides whether xi0 and omega0 are normal doubles
+    p = saddle(kappa, logs, sign)
+    d = derive_constants(p)
+    I = m_integral(p)
+    ref = (
+        _power_product((d.c2, -1.0, d.u), (eta, -p.a2, p.b2), (I, d.beta2, 1.0)),
+        _power_product((d.c0, -1.0, d.v), (zeta0, -p.b0, p.a0), (I, d.beta0, 1.0)),
+    )
+    info = np.finfo(float)
+    if not all(Decimal(info.tiny) <= r <= Decimal(info.max) for r in ref):
+        with pytest.raises(BracketFailure):
+            coeffs(p, eta=eta, zeta0=zeta0)
+        return
+    c = coeffs(p, eta=eta, zeta0=zeta0)
+    assert c.xi0 == pytest.approx(float(ref[0]), rel=1e-13)
+    assert c.omega0 == pytest.approx(float(ref[1]), rel=1e-13)
+
+
+def test_coeffs_and_tail_coeffs_where_a_factor_of_xi0_overflows():
+    # as a product, I^beta2 overflows although ln xi0 = 597.41; the uniform
+    # density's h_1 is zero, so H_2 and Hhat_2 are exactly 0 with no 0*inf
+    p = SaddleParams(0.1514, 11.8874, 1.2662, 0.0395, 2)
+    c = coeffs(p, eta=0.5, zeta0=1.0)
+    assert math.log(c.xi0) == pytest.approx(597.4114327312493, rel=1e-13)
+    assert math.log(c.omega0) == pytest.approx(20.93006573610956, rel=1e-13)
+    dens = uniform_density((0.5, 0.505), 2)
+    tc = tail_coeffs(p, density=dens, zeta0=1.0)
+    assert math.isfinite(tc.C0) and tc.H[1] == 0.0 and tc.Hhat[1] == 0.0
+    # with h_1 = 1, H_2 integrates xi0^2 = e^1194.8, which is no double
+    sloped = make_density((0.5, 0.505), [[1.0], [1.0]], [1.0], kappa=2)
+    with pytest.raises(BracketFailure, match="not finite"):
+        tail_coeffs(p, density=sloped, zeta0=1.0)
+
+
+def test_coeffs_raise_where_xi0_is_not_a_double():
+    # ln xi0 = 1130.6 lies above ln(largest double) = 709.78
+    p = SaddleParams(1.951, 13.73, 0.8246, 0.01496, 4)
+    with pytest.raises(BracketFailure, match="ln\\(xi0\\) = 1130.56"):
+        coeffs(p, eta=0.5907, zeta0=1.0)
+    dens = uniform_density((0.5907, 0.6), 4)
+    with pytest.raises(BracketFailure, match="ln\\(xi0\\)"):
+        tail_coeffs(p, density=dens, zeta0=1.0)
 
 
 def test_coeffs_where_the_product_form_of_omega0_loses_digits():
@@ -234,7 +295,15 @@ def test_tail_expansion_matches_hand_sum():
 
 
 def test_gl_integral_raises_when_doubling_does_not_settle():
-    # an integrable singularity off the panel grid converges like panels^-1/2
-    assert _gl_integral(lambda y: y**3, 0.0, 2.0) == pytest.approx(4.0, rel=1e-14)
+    # tail_coeffs' ladder: an integrable singularity off the panel grid
+    # converges like panels^-1/2
+    def ladder(f, lo, hi):
+        return gl_doubling(
+            lambda y, wts: np.array([f(y) @ wts]), lo, hi, 8, asymptotics._MAX_PANELS,
+            rtol=1e-9, what="tail-coefficient quadrature",
+        )
+
+    val, panels = ladder(lambda y: y**3, 0.0, 2.0)
+    assert val[0] == pytest.approx(4.0, rel=1e-14) and panels == 16
     with pytest.raises(NotConverged, match="16384 panels"):
-        _gl_integral(lambda y: np.abs(y - 1.0 / 3.0) ** -0.5, 0.0, 1.0)
+        ladder(lambda y: np.abs(y - 1.0 / 3.0) ** -0.5, 0.0, 1.0)

@@ -121,6 +121,30 @@ def test_derive_where_the_product_form_of_omega0_overflowed(tmp_path, capsys):
     assert "m_integral_omega" not in coeffs
 
 
+def test_derive_where_a_factor_of_xi0_overflowed(tmp_path, capsys):
+    # as a product, I^beta2 overflows here although ln xi0 = 597.41; the
+    # uniform density's h_1 is zero, so H_2 is exactly 0 whatever xi0^2 is
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(
+        {"a0": 0.1514, "a2": 11.8874, "b0": 1.2662, "b2": 0.0395, "kappa": 2, "zeta0": 1.0, "eta0": 0.5}
+    ))
+    assert run_cli("derive", "--config", str(path)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert np.log(doc["asymptotic_coeffs"]["xi0"]) == pytest.approx(597.41, abs=0.01)
+    assert doc["tail_coeffs"]["H"][1] == 0.0 and doc["tail_coeffs"]["Hhat"][1] == 0.0
+
+
+def test_asymptotics_exits_3_where_xi0_is_not_a_double(tmp_path, capsys):
+    # ln xi0 = 1130.6 lies above ln(largest double) = 709.78
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(
+        {"a0": 1.951, "a2": 13.73, "b0": 0.8246, "b2": 0.01496, "kappa": 4, "zeta0": 1.0, "eta0": 0.5907}
+    ))
+    assert run_cli("asymptotics", "--config", str(path)) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: BracketFailure" in err and "ln(xi0)" in err
+
+
 def test_asymptotics_report(config_path, capsys):
     assert run_cli("asymptotics", "--config", config_path) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -241,6 +265,7 @@ def test_exit_time_xi_out_of_range(config_path, capsys):
 @pytest.mark.parametrize(
     "args",
     [pytest.param(("--xi", "nan"), id="--xi"), pytest.param(("--T", "nan"), id="--T")]
+    + [pytest.param(("--T", "inf"), id="--T=inf")]
     + [
         pytest.param((mode, value, "--eta", eta), id=f"{mode}--eta={eta}")
         for mode, value in (("--xi", "0.1"), ("--T", "10"))

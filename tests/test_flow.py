@@ -8,6 +8,7 @@ from saddletail.errors import InvalidInput, LeftDomain, StepLimitExceeded
 from saddletail.flow import (
     IntegratorConfig,
     Perturbation,
+    PhaseState,
     axis_coefficient_probe,
     eval_field,
     exit_time_flow,
@@ -107,6 +108,23 @@ def test_record_trajectory_endpoints():
     assert traj.states[-1].tolist() == [end.x, end.y]
     with pytest.raises(ValueError):
         flow(P2, [[0.1, 0.2], [0.2, 0.3]], 1.0, record=True)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0])
+def test_flow_for_zero_time_returns_the_start(t):
+    # the integrator takes no step: bit for bit the start, as single states,
+    # as a block (a copy) and as a one-point trajectory at time 0
+    block = np.array([[0.2, 0.4], [0.0, 0.3], [0.7, 0.0], [0.0, 0.0]])
+    out = flow(P2, block, t)
+    assert out.tobytes() == block.tobytes() and out is not block
+    for z in block:
+        end = flow(P2, tuple(z), t)
+        assert isinstance(end, PhaseState)
+        assert np.array([end.x, end.y]).tobytes() == z.tobytes()
+        end, traj = flow(P2, tuple(z), t, record=True)
+        assert np.array([end.x, end.y]).tobytes() == z.tobytes()
+        assert traj.t.tobytes() == np.zeros(1).tobytes()
+        assert traj.states.tobytes() == z[None, :].tobytes()
 
 
 def test_time_one_map_is_flow_at_unit_time():

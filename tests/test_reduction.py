@@ -12,7 +12,7 @@ from saddles import SADDLES, saddle, swap
 from saddletail import _reduction
 from saddletail._reduction import ReductionKernel, kernel_for
 from saddletail.asymptotics import m_integral
-from saddletail.errors import BracketFailure, NotConverged
+from saddletail.errors import BracketFailure, InvalidInput, NotConverged
 from saddletail.flow import omega_of_xi
 from saddletail.params import SaddleParams, make_rect
 
@@ -124,6 +124,13 @@ def test_invert_refusals_from_a_broadcast_call():
     eta = np.linspace(rect.eta0, rect.eta1, 3)
     with pytest.raises(BracketFailure, match="smallest normal double"):
         ker.invert(np.array([1.0, 1e3])[:, None], eta[None, :], rect.zeta0)
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan, 0.0, -1.0])
+def test_invert_requires_finite_positive_targets(T):
+    rect = make_rect(P2)
+    with pytest.raises(InvalidInput, match="finite and positive"):
+        kernel_for(P2).invert(np.array([10.0, T]), rect.eta0, rect.zeta0)
 
 
 @pytest.mark.parametrize("p", [P1, P2])
