@@ -11,6 +11,7 @@ return-time statistics over an entry strip, and the scalar renewal
 sequence that shadows the induced map's correlation decay.
 """
 
+from ._rk45 import IntegratorConfig
 from .asymptotics import (
     AsymptoticCoeffs,
     TailCoeffs,
@@ -42,8 +43,7 @@ from .errors import (
     SeedRequired,
     StepLimitExceeded,
 )
-from .flow import (
-    IntegratorConfig,
+from .field import (
     Perturbation,
     PhaseState,
     Trajectory,

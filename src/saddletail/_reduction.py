@@ -231,9 +231,11 @@ class ReductionKernel:
         it encloses very large targets.  lnx0, if given, is the starting
         point in ln(xi): a caller that already knows the answer to a few
         percent saves most of the iterations.  The bracket and the
-        tolerance are the same either way.  Raises BracketFailure when a
-        root lies below the smallest normal double, where exp(ln xi) would
-        lose its digits or underflow to 0.
+        tolerance are the same either way.  Raises InvalidInput for a
+        target below the shortest exit time at its height, the time from
+        just inside the section, and BracketFailure when a root lies below
+        the smallest normal double, where exp(ln xi) would lose its digits
+        or underflow to 0.
 
         T, eta and lnx0 broadcast against each other, and the result has
         the broadcast shape (at least 1-d).  Both initial bracket ends are
@@ -267,9 +269,15 @@ class ReductionKernel:
             return val, -self._dlnT_dlnxi(lx, ly_f[i], lw, lz, D)
 
         hi = lz + math.log1p(-1e-12)
-        if np.any(end_excess(hi) < 0.0):
-            raise BracketFailure(
-                "target exit time smaller than the time from just inside the section"
+        ex_hi = np.broadcast_to(end_excess(hi), shape).ravel()
+        below = np.flatnonzero(ex_hi < 0.0)
+        if below.size:
+            # the time from just inside the section is the shortest exit time
+            i = below[0]
+            raise InvalidInput(
+                f"target exit time {math.exp(ln_target_f[i]):.6g} is below "
+                f"{math.exp(ln_target_f[i] - ex_hi[i]):.6g}, the shortest one "
+                f"at eta = {math.exp(ly_f[i]):.6g} (from just inside the section)"
             )
         lo0 = hi - 27.7  # ln(1e12): bracket starts at xi = 1e-12 * zeta0
         short = np.flatnonzero(np.broadcast_to(end_excess(lo0) > 0.0, shape))

@@ -12,7 +12,7 @@ numpy's power ufunc.  Its results are bit for bit the batched ones
 (tests/test_rk45.py checks this; it rests on einsum not fusing multiply
 and add, which holds for numpy's x86-64 builds).  It calls f.one(x, y) ->
 (dx/dt, dy/dt) and event.g.one(x, y) -> g where those callables carry
-such a one-orbit form (flow._field_closure builds one from the same term
+such a one-orbit form (field._field_closure builds one from the same term
 table as the batch form), and f or g on a (1, 2) block otherwise.
 
 In the batched loop the active orbits live in contiguous arrays of their
@@ -33,6 +33,9 @@ Each orbit's arithmetic does not depend on the rest of the batch, so the
 results are bit for bit those of gathering, stepping and polishing the
 active orbits afresh on every iteration (tests/test_rk45.py keeps that
 design as its reference).
+
+IntegratorConfig is the one source of the tolerances and guards: both loops
+read them from the cfg that integrate is given.
 """
 from __future__ import annotations
 
@@ -43,9 +46,9 @@ from typing import Callable
 import numpy as np
 
 from ._numerics import solve_increasing
-from .errors import LeftDomain, StepLimitExceeded
+from .errors import InvalidInput, LeftDomain, StepLimitExceeded
 
-__all__ = ["Event", "IntegrationResult", "integrate"]
+__all__ = ["Event", "IntegratorConfig", "IntegrationResult", "integrate"]
 
 # Dormand-Prince coefficients.  Row 7 of the A matrix equals the 5th order
 # weights (first-same-as-last), so stage 7 is the derivative at the new point.
@@ -70,6 +73,31 @@ _E_ROW = tuple(map(float, _E))
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+
+
+@dataclass(frozen=True)
+class IntegratorConfig:
+    """Tolerances and guards for the adaptive integrator."""
+
+    rel_tol: float = 1e-12
+    abs_tol: float = 1e-14
+    max_step: float = 1e9
+    max_steps: int = 1_000_000
+    bbox: float = 8.0
+
+    def __post_init__(self):
+        for name in ("rel_tol", "abs_tol"):
+            val = getattr(self, name)
+            if not (1e-15 <= val <= 1e-3):
+                raise InvalidInput(f"{name} must lie in [1e-15, 1e-3], got {val}")
+        # written as not (x > 0) so that NaN fails them too
+        if not (self.max_step > 0.0):
+            raise InvalidInput("max_step must be positive")
+        steps = self.max_steps
+        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+            raise InvalidInput("max_steps must be an integer of at least 1")
+        if not (self.bbox > 0.0):
+            raise InvalidInput("bbox must be positive")
 
 
 @dataclass(frozen=True)
@@ -181,8 +209,7 @@ def _step_one(f1, x, y, fx, fy, h):
     return x1, y1, h * ex, h * ey, kx[6], ky[6]
 
 
-def _march_one(f, event, z, fz, h, t_out, t_ev, z_ev, *, done, cap, record,
-               rtol, atol, max_step, max_steps, bbox, slack):
+def _march_one(f, event, z, fz, h, t_out, t_ev, z_ev, *, done, cap, record, cfg, slack):
     """integrate's loop for a batch of one orbit, on Python floats.
 
     Fills t_out, z, t_ev and z_ev in place and returns (steps, traj).  Each
@@ -193,6 +220,10 @@ def _march_one(f, event, z, fz, h, t_out, t_ev, z_ev, *, done, cap, record,
     false.  In event mode cap is the censoring time, so a clamped step that
     does not cross is censored.
     """
+    # locals, since the loop reads them on every step
+    rtol, atol, max_step, max_steps, bbox = (
+        cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps, cfg.bbox
+    )
     f1 = _one_form(f)
     g1 = _one_form(event.g) if event is not None else None
     x, y = float(z[0, 0]), float(z[0, 1])
@@ -263,11 +294,7 @@ def integrate(
     f,
     z0: np.ndarray,
     *,
-    rtol: float,
-    atol: float,
-    max_step: float,
-    max_steps: int,
-    bbox: float,
+    cfg: IntegratorConfig,
     t_end: float | None = None,
     event: Event | None = None,
     censor: float | None = None,
@@ -275,6 +302,7 @@ def integrate(
 ) -> IntegrationResult:
     """March the whole batch until everyone is finished.
 
+    cfg gives the tolerances, the step limits and the bounding box.
     Exactly one of t_end / event decides completion; censor caps the clock
     in event mode (censored orbits get t_event = +inf).  record keeps the
     accepted-step history and is restricted to single-orbit batches, which
@@ -296,7 +324,7 @@ def integrate(
     z_ev = np.full_like(z, np.nan)
     done = np.zeros(n, dtype=bool)
     fz = f(z)
-    slack = 1e-9 * max(1.0, bbox)
+    slack = 1e-9 * max(1.0, cfg.bbox)
 
     if event is not None:
         g0 = event.g(z)
@@ -307,13 +335,12 @@ def integrate(
     if t_end == 0.0:
         done[:] = True
 
-    h = _initial_step(f, z, fz, rtol, atol, max_step)
+    h = _initial_step(f, z, fz, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
     cap = t_end if t_end is not None else censor
     if n == 1:
         steps, traj = _march_one(
             f, event, z, fz, float(h[0]), t, t_ev, z_ev, done=bool(done[0]),
-            cap=cap, record=record, rtol=rtol, atol=atol,
-            max_step=max_step, max_steps=max_steps, bbox=bbox, slack=slack,
+            cap=cap, record=record, cfg=cfg, slack=slack,
         )
         return IntegrationResult(
             t=t, z=z, t_event=t_ev, z_event=z_ev, n_steps=steps, traj=traj
@@ -335,8 +362,8 @@ def integrate(
 
     steps = 0
     while idx.size:
-        if steps >= max_steps:
-            raise StepLimitExceeded(f"max_steps = {max_steps} reached")
+        if steps >= cfg.max_steps:
+            raise StepLimitExceeded(f"max_steps = {cfg.max_steps} reached")
         steps += 1
 
         if cap is not None:
@@ -350,22 +377,22 @@ def integrate(
             raise StepLimitExceeded("step size underflow")
 
         z1, err, f1 = _rk_step(f, za, fa, hs, k[:, : idx.size])
-        en = _error_norm(err, za, z1, rtol, atol)
+        en = _error_norm(err, za, z1, cfg.rel_tol, cfg.abs_tol)
         acc = en <= 1.0
 
         factor = np.clip(
             _SAFETY * np.where(en > 0, en, 1e-16) ** -0.2, _MIN_FACTOR, _MAX_FACTOR
         )
         # do not let a clamped (shortened) step shrink the working step size
-        ha = np.where(acc & clamped, ha, np.minimum(hs * factor, max_step))
+        ha = np.where(acc & clamped, ha, np.minimum(hs * factor, cfg.max_step))
 
         if not acc.any():
             continue
-        out = acc & np.any((z1 < -slack) | (z1 > bbox), axis=1)
+        out = acc & np.any((z1 < -slack) | (z1 > cfg.bbox), axis=1)
         if out.any():
             bad = np.flatnonzero(out)[0]
             raise LeftDomain(
-                f"orbit {idx[bad]} left [0, {bbox}]^2 near t = {ta[bad]:.6g}"
+                f"orbit {idx[bad]} left [0, {cfg.bbox}]^2 near t = {ta[bad]:.6g}"
             )
         t1 = ta + hs
         if not acc.all():

@@ -35,7 +35,7 @@ from .errors import (
     SaddleTailError,
     SeedRequired,
 )
-from .flow import flow
+from .field import flow
 from .params import derive_constants
 from .renewal import mixing_coeffs, renewal_sequence, return_distribution
 from .tails import fit_regvar, geometric_grid, monte_carlo_tail, semi_analytic_tail

@@ -27,9 +27,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from ._rk45 import IntegratorConfig
 from .density import EntryDensity, make_density, uniform_density
 from .errors import ConfigError, DegenerateDelta
-from .flow import IntegratorConfig, Perturbation
+from .field import Perturbation
 from .params import DomainRect, SaddleParams, make_rect, validate
 
 __all__ = ["RunConfig", "load_config", "parse_config"]

@@ -19,6 +19,11 @@ integrates the field and locates the section crossing by event polishing,
 exit_time_quadrature evaluates the reduced one-dimensional integral.  The
 two must agree to integrator tolerance; keeping both routes independent is
 the point, so neither calls the other.
+
+Every integration (flow, perturbed_first_integral and the exit-time batch)
+goes through _march: it checks the perturbation and the starts, builds the
+field, negated for backward runs, and calls _rk45.integrate with one
+IntegratorConfig, the default one unless the caller gives its own.
 """
 from __future__ import annotations
 
@@ -31,13 +36,13 @@ from scipy.integrate import quad
 
 from . import _rk45
 from ._reduction import kernel_for
+from ._rk45 import IntegratorConfig
 from .errors import DiagonalNotReached, InvalidInput, LeftDomain, StepLimitExceeded
 from .params import SaddleParams, derive_constants
 
 __all__ = [
     "PhaseState",
     "Perturbation",
-    "IntegratorConfig",
     "Trajectory",
     "eval_field",
     "flow",
@@ -114,31 +119,6 @@ class Perturbation:
 
 
 @dataclass(frozen=True)
-class IntegratorConfig:
-    """Tolerances and guards for the adaptive integrator."""
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_step: float = 1e9
-    max_steps: int = 1_000_000
-    bbox: float = 8.0
-
-    def __post_init__(self):
-        for name in ("rel_tol", "abs_tol"):
-            val = getattr(self, name)
-            if not (1e-15 <= val <= 1e-3):
-                raise InvalidInput(f"{name} must lie in [1e-15, 1e-3], got {val}")
-        # written as not (x > 0) so that NaN fails them too
-        if not (self.max_step > 0.0):
-            raise InvalidInput("max_step must be positive")
-        steps = self.max_steps
-        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-            raise InvalidInput("max_steps must be an integer of at least 1")
-        if not (self.bbox > 0.0):
-            raise InvalidInput("bbox must be positive")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Accepted integration states with ascending times."""
 
@@ -161,13 +141,14 @@ def _power(v: float, e: int) -> float:
     return v * v if e == 2 else float(np.power(v, e))
 
 
-def _field_closure(p: SaddleParams, pert: Perturbation | None):
+def _field_closure(p: SaddleParams, pert: Perturbation | None, backward: bool = False):
     """Right-hand side on (n, 2) state blocks, with its one-orbit form.
 
     The returned f carries f.one(x, y) -> (dx/dt, dy/dt) on Python floats,
     for _rk45's one-orbit loop.  Both forms run the same formula, which
     raises x and y to each distinct power once per call, so they agree bit
-    for bit.
+    for bit.  backward=True negates both components, exactly, for runs
+    in negative time.
     """
     a0, a2, b0, b2 = float(p.a0), float(p.a2), float(p.b0), float(p.b2)
     k = p.kappa
@@ -190,7 +171,7 @@ def _field_closure(p: SaddleParams, pert: Perturbation | None):
             u += c * xp[i] * yp[j]
         for c, i, j in terms_y:
             v -= c * xp[i] * yp[j]
-        return u, v
+        return (-u, -v) if backward else (u, v)
 
     def f(z: np.ndarray) -> np.ndarray:
         out = np.empty_like(z)
@@ -199,20 +180,6 @@ def _field_closure(p: SaddleParams, pert: Perturbation | None):
 
     f.one = lambda x, y: rhs(x, y, _power)
     return f
-
-
-def _backward(f):
-    """The sign-flipped field, in both of f's forms."""
-
-    def neg(z: np.ndarray) -> np.ndarray:
-        return -f(z)
-
-    def one(x: float, y: float) -> tuple[float, float]:
-        u, v = f.one(x, y)
-        return -u, -v
-
-    neg.one = one
-    return neg
 
 
 def _event(g, g_one, gdot) -> _rk45.Event:
@@ -244,13 +211,28 @@ def eval_field(p: SaddleParams, z, pert: Perturbation | None = None):
     return PhaseState(float(out[0, 0]), float(out[0, 1])) if single else out
 
 
-def _check_start(block: np.ndarray, bbox: float) -> None:
+def _validate(p, pert, cfg, block: np.ndarray) -> IntegratorConfig:
+    """Check an integration's perturbation and starts; returns cfg or the default."""
+    cfg = cfg or _DEFAULT_CFG
+    if pert is not None:
+        pert.validate_for(p.kappa)
     if not np.isfinite(block).all():
         raise InvalidInput("initial states must be finite")
     if np.any(block < 0.0):
         raise InvalidInput("initial states must lie in the closed positive quadrant")
-    if np.any(block > bbox):
-        raise InvalidInput(f"initial states must lie within [0, {bbox}]^2")
+    if np.any(block > cfg.bbox):
+        raise InvalidInput(f"initial states must lie within [0, {cfg.bbox}]^2")
+    return cfg
+
+
+def _march(p, pert, cfg, block: np.ndarray, *, backward=False, **mode):
+    """Integrate the field from the (n, 2) block of starts, after _validate.
+
+    mode is t_end, event, censor and record, as _rk45.integrate takes them;
+    backward=True runs the sign-flipped field.
+    """
+    cfg = _validate(p, pert, cfg, block)
+    return _rk45.integrate(_field_closure(p, pert, backward), block, cfg=cfg, **mode)
 
 
 def flow(
@@ -268,30 +250,13 @@ def flow(
     and requires a single initial state.  Backward runs integrate the
     sign-flipped field and report trajectory times ascending from t to 0.
     """
-    cfg = cfg or _DEFAULT_CFG
-    if pert is not None:
-        pert.validate_for(p.kappa)
     block, single = _as_block(z0)
-    _check_start(block, cfg.bbox)
     if record and not single:
         raise InvalidInput("record=True needs a single initial state")
     t = float(t)
     if not math.isfinite(t):
         raise InvalidInput(f"flow time must be finite, got {t}")
-    f = _field_closure(p, pert)
-    if t < 0.0:
-        f = _backward(f)
-    res = _rk45.integrate(
-        f,
-        block,
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        max_steps=cfg.max_steps,
-        bbox=cfg.bbox,
-        t_end=abs(t),
-        record=record,
-    )
+    res = _march(p, pert, cfg, block, backward=t < 0.0, t_end=abs(t), record=record)
     out = res.z
     final = PhaseState(float(out[0, 0]), float(out[0, 1])) if single else out
     if record:
@@ -367,40 +332,25 @@ def perturbed_first_integral(
     integrator tolerance.  Raises DiagonalNotReached when the orbit leaves
     the domain or exhausts the step budget first.
     """
-    cfg = cfg or _DEFAULT_CFG
-    if pert is not None:
-        pert.validate_for(p.kappa)
     block, single = _as_block(z)
     if not single:
         raise InvalidInput("perturbed_first_integral takes a single state")
+    _validate(p, pert, cfg, block)
     x0, y0 = float(block[0, 0]), float(block[0, 1])
     if x0 == 0.0 or y0 == 0.0:
         return 0.0
-    _check_start(block, cfg.bbox)
-    if x0 == y0:
-        return float(first_integral(p, x0, y0))
 
-    forward = y0 > x0
-    f = _field_closure(p, pert)
-    if not forward:
-        f = _backward(f)
-    sign = 1.0 if forward else -1.0
+    # a start on the diagonal is past the event already, so its level is
+    # that of the start itself
+    backward = x0 > y0
+    sign = -1.0 if backward else 1.0
     event = _event(
         lambda zz: sign * (zz[:, 0] - zz[:, 1]),
         lambda x, y: sign * (x - y),
         lambda zz, fz: sign * (fz[:, 0] - fz[:, 1]),
     )
     try:
-        res = _rk45.integrate(
-            f,
-            block,
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-            max_step=cfg.max_step,
-            max_steps=cfg.max_steps,
-            bbox=cfg.bbox,
-            event=event,
-        )
+        res = _march(p, pert, cfg, block, backward=backward, event=event)
     except (StepLimitExceeded, LeftDomain) as exc:
         raise DiagonalNotReached(
             f"orbit through ({x0}, {y0}) did not cross the diagonal: {exc}"
@@ -473,14 +423,7 @@ def exit_time_flow(
 ) -> float:
     """Passage time to x = zeta0 by integrating the field to the crossing."""
     _check_section_args(xi, eta, zeta0)
-    T = _exit_times_batch(
-        p,
-        np.array([xi], dtype=float),
-        np.array([eta], dtype=float),
-        zeta0,
-        pert=pert,
-        cfg=cfg,
-    )
+    T = _exit_times_batch(p, np.array([xi]), np.array([eta]), zeta0, pert=pert, cfg=cfg)
     return float(T[0])
 
 
@@ -495,24 +438,8 @@ def _exit_times_batch(
     censor: float | None = None,
 ) -> np.ndarray:
     """Section-crossing times for a block of starts; inf where censored."""
-    cfg = cfg or _DEFAULT_CFG
-    if pert is not None:
-        pert.validate_for(p.kappa)
     block = np.column_stack([xis, etas]).astype(float)
-    _check_start(block, cfg.bbox)
-    f = _field_closure(p, pert)
     event = _event(
         lambda zz: zz[:, 0] - zeta0, lambda x, y: x - zeta0, lambda zz, fz: fz[:, 0]
     )
-    res = _rk45.integrate(
-        f,
-        block,
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        max_steps=cfg.max_steps,
-        bbox=cfg.bbox,
-        event=event,
-        censor=censor,
-    )
-    return res.t_event
+    return _march(p, pert, cfg, block, event=event, censor=censor).t_event

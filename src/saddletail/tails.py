@@ -23,6 +23,10 @@ stratum: each is integrated with probability 1/16, drawn from its own RNG
 substream, and carries 16 times its weight (Horvitz-Thompson), so the
 estimate stays unbiased for any perturbation.
 
+Both estimators and TailTable read their grid through one check, _grid:
+a non-empty, ascending 1-d grid of nonnegative integers, where floats are
+accepted only if they hold integers exactly.
+
 Exceedance masses are turned into an exponent and constant by fit_regvar
 (weighted log-log least squares, optional 1/n second-order column) and
 into per-n masses by small_tail (first differences).
@@ -37,9 +41,10 @@ import numpy as np
 
 from ._numerics import gl_doubling, gl_panels
 from ._reduction import kernel_for
+from ._rk45 import IntegratorConfig
 from .density import EntryDensity
 from .errors import InsufficientData, InvalidInput, NonMonotoneInput, SeedRequired
-from .flow import IntegratorConfig, Perturbation, _check_start, _exit_times_batch
+from .field import Perturbation, _exit_times_batch, _validate
 from .params import SaddleParams, default_section
 
 __all__ = [
@@ -64,6 +69,27 @@ _THIN_BELOW = 0.5
 _THIN_RATE = 16
 
 
+def _grid(n_grid) -> np.ndarray:
+    """n_grid as int64, if it is a non-empty 1-d ascending grid of integers >= 0.
+
+    Floats are taken only where they hold integers exactly, so a grid is
+    never truncated to other points than the ones it names.
+    """
+    raw = np.asarray(n_grid)
+    if raw.ndim != 1 or raw.size == 0:
+        raise InvalidInput("n_grid must be a non-empty 1-d array")
+    if raw.dtype.kind not in "iu" and not (
+        raw.dtype.kind == "f"
+        and np.all(np.abs(raw) <= 2.0**53)
+        and np.all(raw == np.floor(raw))
+    ):
+        raise InvalidInput(f"n_grid must hold integers, got {raw[:8].tolist()}")
+    n = raw.astype(np.int64)
+    if np.any(n < 0) or np.any(np.diff(n) <= 0):
+        raise InvalidInput("n_grid must be ascending nonnegative integers")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class TailTable:
     """Exceedance masses mu{T > n} on an ascending integer grid.
@@ -79,14 +105,10 @@ class TailTable:
     n_censored: int | None = None
 
     def __post_init__(self):
-        n = np.asarray(self.n_grid, dtype=np.int64)
+        n = _grid(self.n_grid)
         m = np.asarray(self.mass, dtype=float)
-        if n.ndim != 1 or m.shape != n.shape:
+        if m.shape != n.shape:
             raise InvalidInput("n_grid and mass must be matching 1-d arrays")
-        if n.size == 0:
-            raise InvalidInput("empty tail table")
-        if np.any(n < 0) or np.any(np.diff(n) <= 0):
-            raise InvalidInput("n_grid must be ascending nonnegative integers")
         if np.any(m < 0.0) or np.any(m > 1.0):
             raise InvalidInput("tail masses must lie in [0, 1]")
         if np.any(np.diff(m) > 1e-12):
@@ -181,9 +203,7 @@ def semi_analytic_tail(
         raise InvalidInput("density and n_grid are required")
     if zeta0 is None:
         zeta0 = default_section(p)
-    n = np.asarray(n_grid, dtype=np.int64)
-    if n.ndim != 1 or n.size == 0 or np.any(n < 0) or np.any(np.diff(n) <= 0):
-        raise InvalidInput("n_grid must be ascending nonnegative integers")
+    n = _grid(n_grid)
     ker = kernel_for(p)
     lo, hi = density.eta_range
     n_pos = n[n >= 1]
@@ -268,7 +288,7 @@ def _mc_block(args):
         T = ker.exit_time(x, y, zeta0)
         n_cens = 0
     else:
-        _check_start(np.column_stack([x, y]), cfg.bbox)
+        _validate(p, pert, cfg, np.column_stack([x, y]))
         run = np.ones(count, dtype=bool)
         if n_arr[0] > 0:
             thin = ker.exit_time(x, y, zeta0) < _THIN_BELOW * n_arr[0]
@@ -343,11 +363,7 @@ def monte_carlo_tail(
         raise InvalidInput("jobs must be at least 1")
     if zeta0 is None:
         zeta0 = default_section(p)
-    n_arr = np.asarray(n_grid, dtype=np.int64)
-    if n_arr.ndim != 1 or n_arr.size == 0 or np.any(np.diff(n_arr) <= 0):
-        raise InvalidInput("n_grid must be ascending")
-    if np.any(n_arr < 0):
-        raise InvalidInput("n_grid must be nonnegative")
+    n_arr = _grid(n_grid)
     method = "quadrature" if pert is None or pert.is_zero else "flow"
     if method == "flow" and cfg is None:
         cfg = _MC_FLOW_CFG

@@ -22,11 +22,11 @@ from scipy.integrate import quad
 
 from . import __version__
 from ._reduction import kernel_for
+from ._rk45 import IntegratorConfig
 from .asymptotics import coeffs, invert_exit_time, m_integral, tail_coeffs, tail_expansion
 from .density import uniform_density
 from .errors import InvalidInput
-from .flow import (
-    IntegratorConfig,
+from .field import (
     Perturbation,
     _exit_times_batch,
     exit_time_quadrature,

@@ -11,6 +11,7 @@ from scipy.special import beta as beta_fn
 from saddles import SADDLES, saddle, swap
 from saddletail import asymptotics
 from saddletail._numerics import gl_doubling
+from saddletail._rk45 import IntegratorConfig
 from saddletail.asymptotics import (
     coeffs,
     delta_of_T,
@@ -23,7 +24,7 @@ from saddletail.asymptotics import (
 )
 from saddletail.density import make_density, uniform_density
 from saddletail.errors import BracketFailure, InvalidInput, NotConverged
-from saddletail.flow import IntegratorConfig, exit_time_quadrature, flow, omega_of_xi
+from saddletail.field import exit_time_quadrature, flow, omega_of_xi
 from saddletail.params import SaddleParams, derive_constants, make_rect
 
 P1 = SaddleParams(1.0, 3.0, 2.0, 1.0, 2)

@@ -7,7 +7,7 @@ import pytest
 
 from saddletail import __version__, cli, tails
 from saddletail.config import load_config
-from saddletail.flow import flow
+from saddletail.field import flow
 from saddletail.params import SaddleParams
 
 BASE = {"a0": 1.0, "a2": 1.0, "b0": 1.0, "b2": 2.0, "kappa": 2}
@@ -266,6 +266,8 @@ def test_exit_time_xi_out_of_range(config_path, capsys):
     "args",
     [pytest.param(("--xi", "nan"), id="--xi"), pytest.param(("--T", "nan"), id="--T")]
     + [pytest.param(("--T", "inf"), id="--T=inf")]
+    # below the shortest exit time, the one from just inside the section
+    + [pytest.param(("--T", "1e-13"), id="--T=1e-13")]
     + [
         pytest.param((mode, value, "--eta", eta), id=f"{mode}--eta={eta}")
         for mode, value in (("--xi", "0.1"), ("--T", "10"))

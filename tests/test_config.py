@@ -6,7 +6,7 @@ import pytest
 
 from saddletail.config import load_config, parse_config
 from saddletail.errors import ConfigError, DegenerateDelta, InvalidInput
-from saddletail.flow import Perturbation
+from saddletail.field import Perturbation
 
 BASE = {"a0": 1.0, "a2": 1.0, "b0": 1.0, "b2": 2.0, "kappa": 2}
 

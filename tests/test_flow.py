@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from saddletail._rk45 import IntegratorConfig
 from saddletail.errors import InvalidInput, LeftDomain, StepLimitExceeded
-from saddletail.flow import (
-    IntegratorConfig,
+from saddletail.field import (
     Perturbation,
     PhaseState,
     axis_coefficient_probe,
@@ -253,6 +253,17 @@ def test_perturbed_level_reduces_to_exact():
     got = perturbed_first_integral(P2, None, (0.12, 0.34), cfg=TIGHT)
     assert got == pytest.approx(float(first_integral(P2, 0.12, 0.34)), rel=1e-8)
     assert perturbed_first_integral(P2, None, (0.0, 0.3)) == 0.0
+    # a start on the diagonal is its own diagonal point
+    assert perturbed_first_integral(P2, None, (0.2, 0.2)) == first_integral(P2, 0.2, 0.2)
+
+
+@pytest.mark.parametrize(
+    "z0", [(0.0, math.nan), (0.0, -3.0), (0.0, 100.0), (math.nan, 0.0)], ids=str
+)
+def test_perturbed_level_checks_starts_on_an_axis(z0):
+    # the level on an axis is 0.0, but only for a start inside the box
+    with pytest.raises(InvalidInput):
+        perturbed_first_integral(P2, None, z0)
 
 
 def test_perturbed_level_constant_on_perturbed_orbit():

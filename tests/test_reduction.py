@@ -13,7 +13,7 @@ from saddletail import _reduction
 from saddletail._reduction import ReductionKernel, kernel_for
 from saddletail.asymptotics import m_integral
 from saddletail.errors import BracketFailure, InvalidInput, NotConverged
-from saddletail.flow import omega_of_xi
+from saddletail.field import omega_of_xi
 from saddletail.params import SaddleParams, make_rect
 
 P1 = SaddleParams(1.0, 3.0, 2.0, 1.0, 2)
@@ -115,7 +115,7 @@ def test_invert_refusals_from_a_broadcast_call():
     eta = np.array([rect.eta0, rect.eta1])
     # the section time is 4.0e-12 at eta0 and 2.7e-12 at eta1, so only the
     # (3e-12, eta0) pair lies below it
-    with pytest.raises(BracketFailure, match="just inside the section"):
+    with pytest.raises(InvalidInput, match="3e-12 is below 3.99882e-12, the shortest one"):
         ker.invert(np.array([1.0, 3e-12])[:, None], eta[None, :], rect.zeta0)
     assert ker.invert(3e-12, rect.eta1, rect.zeta0)[0] > 0.0
     p = SaddleParams(0.02806, 32.49, 20.27, 0.01635, 4)

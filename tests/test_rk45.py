@@ -20,19 +20,13 @@ from saddletail._rk45 import (
     _MIN_FACTOR,
     _SAFETY,
     Event,
+    IntegratorConfig,
     _error_norm,
     _initial_step,
     integrate,
 )
 from saddletail.errors import LeftDomain, SaddleTailError
-from saddletail.flow import (
-    IntegratorConfig,
-    Perturbation,
-    _backward,
-    _event,
-    _field_closure,
-    flow,
-)
+from saddletail.field import Perturbation, _event, _field_closure, flow
 from saddletail.params import SaddleParams, make_rect
 
 P2 = SaddleParams(1.0, 1.0, 1.0, 2.0, 2)
@@ -77,8 +71,7 @@ def _ref_polish(f, event, z_a, f_a, z_b, h):
     return sig, z_s
 
 
-def _ref_integrate(f, z0, *, rtol, atol, max_step, max_steps, bbox,
-                   t_end=None, event=None, censor=None, record=False):
+def _ref_integrate(f, z0, *, cfg, t_end=None, event=None, censor=None, record=False):
     z = np.array(z0, dtype=float)
     n = z.shape[0]
     t = np.zeros(n)
@@ -86,7 +79,7 @@ def _ref_integrate(f, z0, *, rtol, atol, max_step, max_steps, bbox,
     z_ev = np.full_like(z, np.nan)
     done = np.zeros(n, dtype=bool)
     fz = f(z)
-    slack = 1e-9 * max(1.0, bbox)
+    slack = 1e-9 * max(1.0, cfg.bbox)
     if event is not None:
         started_past = event.g(z) >= 0.0
         t_ev[started_past] = 0.0
@@ -95,10 +88,10 @@ def _ref_integrate(f, z0, *, rtol, atol, max_step, max_steps, bbox,
     if t_end == 0.0:
         done[:] = True
     traj_t, traj_z = ([0.0], [z[0].copy()]) if record else (None, None)
-    h = _initial_step(f, z, fz, rtol, atol, max_step)
+    h = _initial_step(f, z, fz, cfg.rel_tol, cfg.abs_tol, cfg.max_step)
     steps = 0
     while not done.all():
-        assert steps < max_steps
+        assert steps < cfg.max_steps
         steps += 1
         idx = np.flatnonzero(~done)
         za, fa, ha, ta = z[idx], fz[idx], h[idx], t[idx]
@@ -110,18 +103,18 @@ def _ref_integrate(f, z0, *, rtol, atol, max_step, max_steps, bbox,
         else:
             clamped = np.zeros(len(idx), dtype=bool)
         z_new, err, f_new = _ref_rk_step(f, za, fa, ha)
-        en = _error_norm(err, za, z_new, rtol, atol)
+        en = _error_norm(err, za, z_new, cfg.rel_tol, cfg.abs_tol)
         acc = en <= 1.0
         factor = np.clip(
             _SAFETY * np.where(en > 0, en, 1e-16) ** -0.2, _MIN_FACTOR, _MAX_FACTOR
         )
-        h[idx] = np.where(acc & clamped, h[idx], np.minimum(ha * factor, max_step))
+        h[idx] = np.where(acc & clamped, h[idx], np.minimum(ha * factor, cfg.max_step))
         if not acc.any():
             continue
         ai = idx[acc]
         za_acc, fa_acc, ha_acc = za[acc], fa[acc], ha[acc]
         zn_acc, fn_acc = z_new[acc], f_new[acc]
-        assert not np.any((zn_acc < -slack) | (zn_acc > bbox))
+        assert not np.any((zn_acc < -slack) | (zn_acc > cfg.bbox))
         t[ai] = ta[acc] + ha_acc
         z[ai] = zn_acc
         fz[ai] = fn_acc
@@ -156,11 +149,6 @@ def _ref_integrate(f, z0, *, rtol, atol, max_step, max_steps, bbox,
     )
 
 
-def _tolerances(cfg):
-    return dict(rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
-                max_steps=cfg.max_steps, bbox=cfg.bbox)
-
-
 def _starts(n, seed, rect=RECT):
     rng = np.random.default_rng(seed)
     xi = np.exp(rng.uniform(np.log(1e-3 * rect.zeta0), np.log(0.9 * rect.zeta0), n))
@@ -182,7 +170,7 @@ def _assert_same(res, ref):
 def test_censored_perturbed_block_matches_reference():
     f = _field_closure(P2, PERT)
     z0 = _starts(4096, 7)
-    kw = dict(event=SECTION, censor=2000.0, **_tolerances(MC_CFG))
+    kw = dict(event=SECTION, censor=2000.0, cfg=MC_CFG)
     res = integrate(f, z0, **kw)
     ref = _ref_integrate(f, z0, **kw)
     _assert_same(res, ref)
@@ -192,7 +180,7 @@ def test_censored_perturbed_block_matches_reference():
 
 def test_recorded_t_end_run_matches_reference():
     f = _field_closure(P2, PERT)
-    kw = dict(t_end=37.5, record=True, **_tolerances(IntegratorConfig()))
+    kw = dict(t_end=37.5, record=True, cfg=IntegratorConfig())
     z0 = np.array([[0.01, 0.4]])
     res = integrate(f, z0, **kw)
     _assert_same(res, _ref_integrate(f, z0, **kw))
@@ -203,7 +191,7 @@ def test_recorded_diagonal_event_matches_reference():
     # the diagonal event of perturbed_first_integral, from above the diagonal
     f = _field_closure(P2, PERT)
     diagonal = Event(g=lambda z: z[:, 0] - z[:, 1], gdot=lambda z, fz: fz[:, 0] - fz[:, 1])
-    kw = dict(event=diagonal, record=True, **_tolerances(IntegratorConfig()))
+    kw = dict(event=diagonal, record=True, cfg=IntegratorConfig())
     z0 = np.array([[0.002, 0.45]])
     res = integrate(f, z0, **kw)
     _assert_same(res, _ref_integrate(f, z0, **kw))
@@ -214,7 +202,7 @@ def test_recorded_diagonal_event_matches_reference():
 def test_crossing_does_not_depend_on_its_batch():
     f = _field_closure(P2, PERT)
     z0 = _starts(256, 11)
-    kw = dict(event=SECTION, **_tolerances(MC_CFG))
+    kw = dict(event=SECTION, cfg=MC_CFG)
     full = integrate(f, z0, **kw)
     assert np.all(np.isfinite(full.t_event))
     for pick in np.random.default_rng(2).permutation(256).reshape(64, 4):
@@ -235,14 +223,14 @@ def test_crossing_does_not_depend_on_its_batch():
 def test_started_past_and_zero_length_runs_match_reference(t_end, rows):
     f = _field_closure(P2, None)
     z0 = np.array([[0.5, 0.4], [0.1, 0.4], [RECT.zeta0, 0.4]])[rows]
-    kw = _tolerances(IntegratorConfig())
+    kw = dict(cfg=IntegratorConfig())
     _assert_same(integrate(f, z0, event=SECTION, **kw), _ref_integrate(f, z0, event=SECTION, **kw))
     _assert_same(integrate(f, z0, t_end=t_end, **kw), _ref_integrate(f, z0, t_end=t_end, **kw))
 
 
 def test_censored_single_orbits_match_reference():
     f = _field_closure(P2, PERT)
-    kw = dict(event=SECTION, censor=200.0, **_tolerances(MC_CFG))
+    kw = dict(event=SECTION, censor=200.0, cfg=MC_CFG)
     censored = []
     for z0 in _starts(16, 7):
         res = integrate(f, z0[None], **kw)
@@ -256,7 +244,7 @@ def test_recorded_section_event_matches_reference():
     section = _event(
         lambda z: z[:, 0] - RECT.zeta0, lambda x, y: x - RECT.zeta0, lambda z, fz: fz[:, 0]
     )
-    kw = dict(event=section, record=True, **_tolerances(IntegratorConfig()))
+    kw = dict(event=section, record=True, cfg=IntegratorConfig())
     z0 = np.array([[0.01, 0.4]])
     res = integrate(f, z0, **kw)
     _assert_same(res, _ref_integrate(f, z0, **kw))
@@ -265,10 +253,10 @@ def test_recorded_section_event_matches_reference():
 
 def test_recorded_backward_flow_matches_reference():
     f = _field_closure(P2, PERT)
-    kw = dict(t_end=1.25, record=True, **_tolerances(IntegratorConfig()))
+    kw = dict(t_end=1.25, record=True, cfg=IntegratorConfig())
     z0 = np.array([[0.2, 0.4]])
     ref = _ref_integrate(lambda z: -f(z), z0, **kw)
-    _assert_same(integrate(_backward(f), z0, **kw), ref)
+    _assert_same(integrate(_field_closure(P2, PERT, backward=True), z0, **kw), ref)
     end, traj = flow(P2, (0.2, 0.4), -1.25, pert=PERT, record=True)
     assert [end.x, end.y] == ref.z[0].tolist()
     assert np.array_equal(traj.states[::-1], ref.traj[1])
@@ -282,7 +270,7 @@ def test_one_orbit_loop_matches_batched_loop(p, pert):
     zeta0 = make_rect(p).zeta0
     section = _event(lambda z: z[:, 0] - zeta0, lambda x, y: x - zeta0, lambda z, fz: fz[:, 0])
     for mode in (dict(event=section), dict(t_end=2.0)):
-        kw = dict(mode, **_tolerances(IntegratorConfig()))
+        kw = dict(mode, cfg=IntegratorConfig())
         block = integrate(f, z0, **kw)
         for i in range(len(z0)):
             one = integrate(f, z0[i : i + 1], **kw)
@@ -305,7 +293,7 @@ def test_one_orbit_loop_matches_batched_loop(p, pert):
 )
 def test_both_loops_fail_alike(p, pert, z0, bbox, error):
     f = _field_closure(p, pert)
-    kw = dict(t_end=2.0, rtol=1e-7, atol=1e-10, max_step=1e9, max_steps=300, bbox=bbox)
+    kw = dict(t_end=2.0, cfg=IntegratorConfig(rel_tol=1e-7, abs_tol=1e-10, max_steps=300, bbox=bbox))
     raised = []
     for block in (np.array([z0]), np.array([z0, z0])):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as exc:

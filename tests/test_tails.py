@@ -12,7 +12,7 @@ from saddletail.errors import (
     NotConverged,
     SeedRequired,
 )
-from saddletail.flow import Perturbation
+from saddletail.field import Perturbation
 from saddletail.params import SaddleParams, make_rect
 from saddletail.tails import (
     TailTable,
@@ -41,6 +41,28 @@ def test_geometric_grid_validation():
         geometric_grid(100, 10)
     with pytest.raises(ValueError):
         geometric_grid(1, 100, 0)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[1.5, 2.5], [1.0, np.nan], [1.0, np.inf], [[1, 2]], [], [3, 2], [2, 2], [-1, 2]],
+    ids=str,
+)
+def test_every_tail_refuses_a_bad_grid(grid):
+    # one check for both estimators and the table: non-integral grids were
+    # truncated to other points (1.5 -> 1) and labelled with them
+    with pytest.raises(InvalidInput, match="n_grid"):
+        semi_analytic_tail(P2, None, DENS, grid, zeta0=RECT.zeta0)
+    with pytest.raises(InvalidInput, match="n_grid"):
+        monte_carlo_tail(P2, None, DENS, 1000, 1, grid, zeta0=RECT.zeta0)
+    with pytest.raises(InvalidInput, match="n_grid"):
+        TailTable(n_grid=grid, mass=np.zeros(np.shape(grid)))
+
+
+def test_an_integral_float_grid_is_taken_as_integers():
+    t = semi_analytic_tail(P2, None, DENS, [1.0, 2.0], zeta0=RECT.zeta0)
+    assert t.n_grid.dtype == np.int64 and t.n_grid.tolist() == [1, 2]
+    assert np.array_equal(t.mass, semi_analytic_tail(P2, None, DENS, [1, 2], zeta0=RECT.zeta0).mass)
 
 
 def test_semi_tail_strip_mass_and_monotonicity():
